@@ -7,10 +7,10 @@ Records (as ``extra_info`` in the pytest-benchmark JSON):
   geometric-mean speedup — the acceptance target is >= 3.2x with a
   warm compile cache, the sink-relevance pass enabled and plans
   pruned at instrumentation time;
-* the relevance off-switch's worst case: with the pass disabled the
-  threaded backend may be slower, but on an all-sink-relevant workload
-  (zero elision) enabling the pass must cost no more than 2% over the
-  disabled configuration;
+* the relevance pass's worst case: on an all-sink-relevant workload
+  (zero elision) the pruned plan (``instrument_module(prune=True)``)
+  must run no more than 2% slower than the full plan
+  (``prune=False``) on the threaded backend;
 * cold vs warm closure-compile timings through the module memo — a
   warm lookup must be at least 10x cheaper than compiling;
 * the profiler's off-path cost: with ``profile=False`` the driver
@@ -29,12 +29,7 @@ import time
 import pytest
 
 from repro.instrument import instrument_module
-from repro.interp.compile import (
-    clear_compile_memo,
-    compiled_for_module,
-    relevance_enabled,
-    set_relevance_enabled,
-)
+from repro.interp.compile import clear_compile_memo, compiled_for_module
 from repro.interp.machine import Machine
 from repro.interp.resolve import resolve_event_locally
 from repro.ir import compile_source
@@ -257,14 +252,17 @@ fn main() {
 def test_zero_elision_overhead(benchmark):
     """An all-sink-relevant workload must not pay for the relevance pass.
 
-    With zero elidable instructions the pass buys nothing, so enabling
-    it must cost at most ``ZERO_ELISION_OVERHEAD_CEILING`` over the
-    disabled configuration (best-of timings, interleaved to average out
-    machine drift).
+    With zero elidable instructions pruning buys nothing, so the pruned
+    plan must cost at most ``ZERO_ELISION_OVERHEAD_CEILING`` over the
+    full plan (best-of timings, interleaved to average out machine
+    drift).
     """
     module = compile_source(ZERO_ELISION_SOURCE)
-    instrumented = instrument_module(module)
-    relevance = instrumented.plan.relevance
+    plans = {
+        prune: instrument_module(module, prune=prune).plan
+        for prune in (True, False)
+    }
+    relevance = plans[True].relevance
     from repro.ir import instructions as ins
 
     structural = (ins.Nop, ins.Jump, ins.Ret)
@@ -280,33 +278,27 @@ def test_zero_elision_overhead(benchmark):
             f"computation at {sorted(computational)}"
         )
 
-    def one_run():
+    def one_run(prune):
         machine = Machine(
             module,
             Kernel(World(seed=1)),
-            plan=instrumented.plan,
+            plan=plans[prune],
             backend="threaded",
         )
         start = time.perf_counter()
         _drive(machine)
         return time.perf_counter() - start
 
-    saved = relevance_enabled()
     best = {True: float("inf"), False: float("inf")}
-    try:
-        for enabled in (True, False):  # warm both memo entries
-            set_relevance_enabled(enabled)
-            compiled_for_module(module, instrumented.plan)
+    for plan in plans.values():  # warm both memo entries
+        compiled_for_module(module, plan)
 
-        def interleaved_sweep():
-            for _ in range(15):
-                for enabled in (True, False):
-                    set_relevance_enabled(enabled)
-                    best[enabled] = min(best[enabled], one_run())
+    def interleaved_sweep():
+        for _ in range(15):
+            for prune in (True, False):
+                best[prune] = min(best[prune], one_run(prune))
 
-        benchmark.pedantic(interleaved_sweep, rounds=1, iterations=1)
-    finally:
-        set_relevance_enabled(saved)
+    benchmark.pedantic(interleaved_sweep, rounds=1, iterations=1)
 
     overhead = (best[True] - best[False]) / best[False]
     benchmark.extra_info["relevance_on_ms"] = round(best[True] * 1000, 3)

@@ -19,8 +19,8 @@ statically instead:
   maybe-uninitialized uses, unreachable code, races);
 * :mod:`repro.analysis.relevance` — the paper's Algorithm 2:
   sink-relevance classification of every instruction from the outcome
-  sinks backwards, driving counter elision and fusion widening in the
-  threaded backend;
+  sinks backwards, driving counter pruning and the threaded backend's
+  fused regions;
 * :mod:`repro.analysis.analyzer` — the cacheable per-program summary
   behind ``repro analyze`` and ``repro eval --check-static``.
 """

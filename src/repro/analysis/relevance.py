@@ -31,11 +31,11 @@ Three consumers exist, and none may change observables:
   plan-construction time and replaces the ``CounterAdd`` runs on
   **counter-elidable edges** with accounting-only ghosts, so both
   backends execute pruned plans;
-* the threaded backend (:mod:`repro.interp.compile`) widens
-  superinstruction fusion across the **fusible** set — instructions
-  proven event-free whose plan edges are absent or pure folded
-  ``CounterAdd`` runs — and batches each region's counter effect into
-  one precomputed aggregate add per executed path;
+* the threaded backend (:mod:`repro.interp.compile`) fuses regions
+  across the **fusible** set — instructions proven event-free whose
+  plan edges are absent or pure folded ``CounterAdd`` runs — and
+  batches each region's counter effect into one precomputed aggregate
+  add per executed path;
 * reporting (``repro analyze --relevance``, Table 1's PrunedCnt and
   Table 5's elision columns, ``repro profile``) attributes the win.
 
@@ -70,6 +70,7 @@ from repro.analysis.controldep import control_dependence
 from repro.cfg.graph import function_digraph
 from repro.instrument.plan import (
     CounterAdd,
+    FunctionPlan,
     LoopSync,
     ModulePlan,
     fold_counter_adds,
@@ -308,20 +309,19 @@ def _address_taken(module: IRModule) -> FrozenSet[str]:
 
 
 def _fusible_indices(
-    function: IRFunction, plan: ModulePlan, global_names: FrozenSet[str]
+    function: IRFunction,
+    function_plan: Optional[FunctionPlan],
+    global_names: FrozenSet[str],
 ) -> FrozenSet[int]:
     """Indices proven event-free with free-or-foldable plan edges.
 
-    These are exactly the instructions the threaded backend may fuse
-    into widened superinstruction regions: executing one can never
-    yield an event, block, alter ``thread.status``, push or pop frames,
-    or cross a barrier edge.  ``CJump`` joins the set here — the
-    syntactic barrier the relevance analysis removes — because a branch
-    is event-free; only its plan edges need to stay foldable.
+    These are exactly the instructions the threaded backend fuses into
+    regions: executing one can never yield an event, block, alter
+    ``thread.status``, push or pop frames, or cross a barrier edge.
+    ``CJump`` belongs here because a branch is event-free; only its plan
+    edges need to stay foldable.  Without a *function_plan* (native,
+    uninstrumented runs) every edge is free.
     """
-    function_plan = plan.functions.get(function.name)
-    if function_plan is None:
-        return frozenset()
     fusible: Set[int] = set()
     for index, instr in enumerate(function.instrs):
         kind = type(instr)
@@ -350,11 +350,12 @@ def _fusible_indices(
         else:
             continue
         edges_ok = True
-        for succ in function.successors(index):
-            actions = function_plan.actions_for(index, succ)
-            if actions and fold_counter_adds(actions) is None:
-                edges_ok = False
-                break
+        if function_plan is not None:
+            for succ in function.successors(index):
+                actions = function_plan.actions_for(index, succ)
+                if actions and fold_counter_adds(actions) is None:
+                    edges_ok = False
+                    break
         if edges_ok:
             fusible.add(index)
     return frozenset(fusible)
@@ -677,8 +678,9 @@ def compute_relevance(
     for fname, function in functions.items():
         marked = frozenset(relevant[fname])
         elidable = frozenset(range(len(function.instrs))) - marked
-        if plan is not None:
-            fusible = _fusible_indices(function, plan, global_names)
+        function_plan = plan.functions.get(fname) if plan is not None else None
+        if function_plan is not None:
+            fusible = _fusible_indices(function, function_plan, global_names)
             regions = _regions(function, plan, fusible)
         else:
             fusible = frozenset()

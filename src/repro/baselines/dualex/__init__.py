@@ -1,6 +1,6 @@
 """DualEx baseline: execution-indexing-aligned dual execution."""
 
 from repro.baselines.dualex.engine import DualExResult, run_dualex
-from repro.baselines.dualex.indexing import IndexTracker, immediate_postdominators
+from repro.baselines.dualex.indexing import IndexTracker
 
-__all__ = ["DualExResult", "run_dualex", "IndexTracker", "immediate_postdominators"]
+__all__ = ["DualExResult", "run_dualex", "IndexTracker"]

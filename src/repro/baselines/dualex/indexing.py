@@ -14,9 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-# Re-exported for backward compatibility: the computation now lives in
-# repro.cfg.dominators next to its forward-direction sibling.
-from repro.cfg.dominators import immediate_postdominators  # noqa: F401
+from repro.cfg.dominators import immediate_postdominators
 from repro.ir import instructions as ins
 from repro.ir.function import IRFunction
 

@@ -54,7 +54,11 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional
 
-from repro.instrument import InstrumentedModule, instrument_module
+from repro.instrument import (
+    InstrumentedModule,
+    instrument_module,
+    relevance_enabled,
+)
 from repro.ir import compile_source
 
 # Bump when InstrumentedModule / ModulePlan / IR pickle layout changes.
@@ -79,7 +83,8 @@ ANALYSIS_SCHEMA_TAG = "ldx-analysis-v4"
 # v2: relevance-guided widened regions with path-local register caching.
 # v3: hoisted int-type guards + induction-variable specialization for
 # self-reentering regions; pruned plans fold ElidedAdd ghosts.
-COMPILED_SCHEMA_TAG = "ldx-threaded-v3"
+# v4: regions are the only fusion codegen (straight-line runs removed).
+COMPILED_SCHEMA_TAG = "ldx-threaded-v4"
 
 # Bump when the pickled result-row layout of any eval/chaos cell class
 # changes.  Shared by the columnar results store (repro.results): a tag
@@ -257,8 +262,6 @@ class ArtifactCache:
         cached with pruning on can never be served to a ``--no-relevance``
         run, or vice versa.
         """
-        from repro.interp.compile import relevance_enabled  # cycle-free local import
-
         prune = relevance_enabled()
         full_config = dict(config or {})
         full_config["relevance_pruning"] = prune
@@ -434,20 +437,17 @@ def compiled_for(
     """Content-addressed threaded-code compilation of *source*.
 
     Key: source text + instrumentation config + backend schema tag +
-    the fusion switch.  Routes through the instrumentation cache first
-    (the compiled artifact is a pure function of the instrumented
-    module), then through the per-module weak memo inside the compiler,
-    so repeated lookups within one process never recompile.
+    the fusion and relevance switches.  Routes through the
+    instrumentation cache first (the compiled artifact is a pure
+    function of the instrumented module), then through the per-module
+    weak memo inside the compiler, so repeated lookups within one
+    process never recompile.
     """
-    from repro.interp.compile import (  # cycle-free local import
-        compiled_for_module,
-        relevance_enabled,
-    )
+    from repro.interp.compile import compiled_for_module  # cycle-free local import
 
     full_config = dict(config or {})
     full_config["fuse"] = fuse
-    # The relevance switch selects both the plan variant (pruned/full)
-    # and the compilation mode (widened regions/syntactic chains), so it
+    # The relevance switch selects the plan variant (pruned/full), so it
     # must join the key.
     full_config["relevance_pruning"] = relevance_enabled()
     key = artifact_key(source, full_config, schema_tag=COMPILED_SCHEMA_TAG)

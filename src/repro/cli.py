@@ -255,14 +255,14 @@ def _add_backend_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-relevance",
         action="store_true",
-        help="disable relevance-guided counter elision and fusion "
-        "widening in the threaded backend (results are identical; "
-        "the default is faster)",
+        help="emit full, unpruned instrumentation plans (results are "
+        "identical; fusion is unchanged)",
     )
 
 
 def _apply_backend(args) -> None:
-    from repro.interp import set_default_backend, set_relevance_enabled
+    from repro.instrument import set_relevance_enabled
+    from repro.interp import set_default_backend
 
     set_default_backend(args.interp_backend)
     set_relevance_enabled(not getattr(args, "no_relevance", False))

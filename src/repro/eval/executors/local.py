@@ -72,7 +72,8 @@ class LocalPoolExecutor(CellExecutor):
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             from repro.eval.parallel import _cache_settings, _worker_init
-            from repro.interp import get_default_backend, relevance_enabled
+            from repro.instrument import relevance_enabled
+            from repro.interp import get_default_backend
 
             cache_dir, cache_enabled = _cache_settings(
                 self._cache_dir, self._cache_enabled

@@ -164,7 +164,8 @@ class MultiHostExecutor(CellExecutor):
 
     def _start_node(self, node: _Node, warm: Sequence[str]) -> None:
         from repro.eval.parallel import _cache_settings
-        from repro.interp import get_default_backend, relevance_enabled
+        from repro.instrument import relevance_enabled
+        from repro.interp import get_default_backend
 
         cache_dir, cache_enabled = _cache_settings(
             self._cache_dir, self._cache_enabled

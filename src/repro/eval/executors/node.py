@@ -63,7 +63,8 @@ def decode_blob(text: str) -> object:
 
 def _configure(msg: dict) -> None:
     from repro import cache
-    from repro.interp import set_default_backend, set_relevance_enabled
+    from repro.instrument import set_relevance_enabled
+    from repro.interp import set_default_backend
 
     cache.configure(
         cache_dir=msg.get("cache_dir"),

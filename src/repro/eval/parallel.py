@@ -66,7 +66,8 @@ def _worker_init(
     --jobs.
     """
     from repro import cache
-    from repro.interp import set_default_backend, set_relevance_enabled
+    from repro.instrument import set_relevance_enabled
+    from repro.interp import set_default_backend
 
     cache.configure(cache_dir=cache_dir, enabled=cache_enabled)
     set_default_backend(backend)

@@ -95,6 +95,26 @@ class InstrumentedModule:
         return count
 
 
+# -- relevance switch -------------------------------------------------------
+#
+# The sink-relevance analysis (analysis/relevance.py) always rides the
+# plan; this process-wide switch decides whether instrumentation acts
+# on it by pruning counter-elidable edges.  Pruned and full plans are
+# byte-identical by contract; the switch exists so CI can diff them.
+
+_RELEVANCE_ENABLED = True
+
+
+def set_relevance_enabled(enabled: bool) -> None:
+    """Toggle counter pruning for subsequently instrumented modules."""
+    global _RELEVANCE_ENABLED
+    _RELEVANCE_ENABLED = bool(enabled)
+
+
+def relevance_enabled() -> bool:
+    return _RELEVANCE_ENABLED
+
+
 def instrument_module(
     module: IRModule, prune: Optional[bool] = None
 ) -> InstrumentedModule:
@@ -104,8 +124,8 @@ def instrument_module(
     counter-elidable edges (see ``analysis/relevance.py``) carry an
     accounting-only ghost instead of their ``CounterAdd`` runs, so both
     backends execute (and the artifact cache stores) smaller plans.
-    None follows the process-wide relevance switch; ``--no-relevance``
-    therefore still emits full plans.
+    None follows the process-wide :func:`relevance_enabled` switch,
+    which ``--no-relevance`` turns off to emit full plans.
     """
     callgraph = CallGraph(module)
     plan = ModulePlan()
@@ -133,10 +153,7 @@ def instrument_module(
 
     plan.relevance = compute_relevance(module, plan)
     if prune is None:
-        # Imported lazily: the interp package consumes this module.
-        from repro.interp.compile import relevance_enabled
-
-        prune = relevance_enabled()
+        prune = _RELEVANCE_ENABLED
     if prune:
         plan.prune_counter_adds()
     return InstrumentedModule(module, plan, callgraph)

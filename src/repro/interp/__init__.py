@@ -8,10 +8,8 @@ from repro.interp.compile import (
     compile_module,
     compiled_for_module,
     get_default_backend,
-    relevance_enabled,
     resolve_backend,
     set_default_backend,
-    set_relevance_enabled,
 )
 from repro.interp.costs import DEFAULT_COSTS, CostModel
 from repro.interp.events import BarrierEvent, Event, SyscallEvent
@@ -44,12 +42,10 @@ __all__ = [
     "profile_payload",
     "profile_rows",
     "profiles_payload",
-    "relevance_enabled",
     "render_profile",
     "render_profiles",
     "resolve_backend",
     "resolve_event_locally",
     "resolve_syscall_locally",
     "set_default_backend",
-    "set_relevance_enabled",
 ]

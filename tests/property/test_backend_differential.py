@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines.native import run_native
 from repro.core import FaultConfig, LdxConfig, SinkSpec, SourceSpec, run_dual
 from repro.instrument import instrument_module
-from repro.interp import relevance_enabled, set_relevance_enabled
 from repro.ir import compile_source
 from repro.vos.world import World
 
@@ -138,42 +137,3 @@ def test_thread_interleavings_identical_across_backends(seed, workers):
     switch = run_native(module, World(seed=1), seed=seed, backend="switch")
     threaded = run_native(module, World(seed=1), seed=seed, backend="threaded")
     assert _native_observables(switch) == _native_observables(threaded)
-
-
-@given(random_programs())
-@settings(max_examples=30, deadline=None)
-def test_relevance_toggle_identical_native(source):
-    # The sink-relevance optimisation (counter elision + widened
-    # fusion) is byte-invisible: toggling it may change how the
-    # threaded backend executes, never what it observes.
-    module = compile_source(source)
-    plan = instrument_module(module).plan
-    saved = relevance_enabled()
-    try:
-        set_relevance_enabled(True)
-        on = run_native(module, World(seed=1), plan=plan, backend="threaded")
-        set_relevance_enabled(False)
-        off = run_native(module, World(seed=1), plan=plan, backend="threaded")
-    finally:
-        set_relevance_enabled(saved)
-    assert _native_observables(on) == _native_observables(off)
-
-
-@given(random_programs())
-@settings(max_examples=20, deadline=None)
-def test_relevance_toggle_identical_dual(source):
-    instrumented = instrument_module(compile_source(source))
-    config = LdxConfig(
-        sources=SourceSpec(),
-        sinks=SinkSpec(syscall_names=()),
-        interp_backend="threaded",
-    )
-    saved = relevance_enabled()
-    results = []
-    try:
-        for enabled in (True, False):
-            set_relevance_enabled(enabled)
-            results.append(run_dual(instrumented, World(seed=1), config))
-    finally:
-        set_relevance_enabled(saved)
-    assert _dual_observables(results[0]) == _dual_observables(results[1])

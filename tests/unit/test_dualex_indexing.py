@@ -1,10 +1,8 @@
 """Unit tests for the DualEx execution-indexing tracker."""
 
-from repro.baselines.dualex.indexing import (
-    IndexTracker,
-    immediate_postdominators,
-)
+from repro.baselines.dualex.indexing import IndexTracker
 from repro.baselines.native import run_native
+from repro.cfg.dominators import immediate_postdominators
 from repro.interp.events import BarrierEvent, SyscallEvent
 from repro.interp.machine import Machine
 from repro.interp.resolve import resolve_event_locally

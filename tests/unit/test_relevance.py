@@ -9,8 +9,11 @@ nothing but structural glue can be elided.
 from repro.analysis import compute_relevance
 from repro.baselines.native import run_native
 from repro.core import LdxConfig, SinkSpec, SourceSpec, run_dual
-from repro.instrument import instrument_module
-from repro.interp import relevance_enabled, set_relevance_enabled
+from repro.instrument import (
+    instrument_module,
+    relevance_enabled,
+    set_relevance_enabled,
+)
 from repro.ir import compile_source
 from repro.ir import instructions as ins
 from repro.vos.world import World
@@ -276,17 +279,26 @@ def test_all_relevant_workload_elides_no_computation():
 
 
 def test_all_relevant_workload_byte_identical_on_off():
-    instrumented, _ = _relevance(ALL_RELEVANT_SOURCE)
-    module = instrumented.module
-    config = LdxConfig(sources=SourceSpec(), sinks=SinkSpec(syscall_names=()))
+    # Each relevance setting instruments its own plan (pruned or full);
+    # on an all-relevant workload pruning finds nothing to remove, and
+    # the two plans must be observably identical on both executors.
+    config = LdxConfig(
+        sources=SourceSpec(),
+        sinks=SinkSpec(syscall_names=()),
+        interp_backend="threaded",
+    )
     saved = relevance_enabled()
     observed = {}
     try:
         for enabled in (True, False):
             set_relevance_enabled(enabled)
-            config.interp_backend = "threaded"
+            instrumented = instrument_module(compile_source(ALL_RELEVANT_SOURCE))
+            assert instrumented.plan.pruned_site_count == 0
             native = run_native(
-                module, World(seed=1), plan=instrumented.plan, backend="threaded"
+                instrumented.module,
+                World(seed=1),
+                plan=instrumented.plan,
+                backend="threaded",
             )
             dual = run_dual(instrumented, World(seed=1), config)
             observed[enabled] = (

@@ -177,17 +177,12 @@ class ArtifactCache:
         enabled: bool = True,
         schema_tag: str = SCHEMA_TAG,
         payload_type: Optional[type] = InstrumentedModule,
-        use_memory: bool = True,
     ) -> None:
         self.capacity = max(1, capacity)
         self.cache_dir = cache_dir
         self.enabled = enabled
         self.schema_tag = schema_tag
         self.payload_type = payload_type
-        # Callers whose payloads are merged destructively after lookup
-        # (e.g. checkpoint rows) disable the memory layer so every load
-        # is a fresh unpickle, never a shared object.
-        self.use_memory = use_memory
         self.stats = CacheStats()
         self._memory: "OrderedDict[str, object]" = OrderedDict()
         # Guards the memory LRU and the stats counters: one instance is
@@ -220,38 +215,6 @@ class ArtifactCache:
             self._disk_store(key, artifact)
         return self._remember(key, artifact)
 
-    def load(self, key: str):
-        """The artifact stored under *key*, or None — no builder.
-
-        Checks the memory layer first (when enabled), then disk.  Lets
-        callers distinguish "cached" from "must compute" (e.g. resume
-        logic skipping completed cells).
-        """
-        if not self.enabled:
-            return None
-        with self._lock:
-            cached = self._memory.get(key)
-            if cached is not None:
-                self._memory.move_to_end(key)
-                self.stats.memory_hits += 1
-                return cached
-        artifact = self._disk_load(key)
-        with self._lock:
-            if artifact is not None:
-                self.stats.disk_hits += 1
-            else:
-                self.stats.misses += 1
-        if artifact is not None:
-            artifact = self._remember(key, artifact)
-        return artifact
-
-    def store(self, key: str, artifact) -> None:
-        """Persist *artifact* under *key* without a lookup."""
-        if not self.enabled:
-            return
-        self._disk_store(key, artifact)
-        self._remember(key, artifact)
-
     def instrumented(
         self, source: str, config: Optional[Dict[str, object]] = None
     ) -> InstrumentedModule:
@@ -274,8 +237,6 @@ class ArtifactCache:
         """Install *artifact* in the LRU; returns the canonical object
         for *key* (a racing thread's insert wins, so all callers share
         one in-memory artifact per key)."""
-        if not self.use_memory:
-            return artifact
         with self._lock:
             existing = self._memory.get(key)
             if existing is not None:

@@ -5,28 +5,26 @@ Usage::
     python -m repro leak program.mc --secret-file /etc/secret [options]
     python -m repro run  program.mc [--stdin TEXT] [--file PATH=CONTENT ...]
     python -m repro eval [--table4-runs N] [--check-static] [--no-store]
-    python -m repro chaos [--seeds N] [--fault-rate R] [--resume]
+    python -m repro chaos [--seeds N] [--fault-rate R] [--no-store]
     python -m repro report [--chaos | --trend [BENCH]] [--store-path PATH]
     python -m repro analyze program.mc | --workload NAME | --all [--dump-ir]
     python -m repro profile WORKLOAD [--top N] [--json PATH]
     python -m repro serve [--http PORT] [--workers N] [--queue-capacity N]
     python -m repro serve-chaos [--requests N] [--fault-rate R] [--url URL]
-    python -m repro checkpoints prune [--max-entries N] [--max-age-hours H]
 
 ``leak`` dual-executes a MiniC program with LDX and reports causality;
 ``run`` executes it natively; ``eval`` regenerates the paper's tables
 (``--check-static`` adds Table 5 and the soundness-oracle check);
 ``chaos`` sweeps fault-injection seeds across the workloads and checks
-the robustness invariants (``--resume`` checkpoints finished cells and
-restarts an interrupted sweep where it left off; Ctrl-C exits cleanly
-with a resume hint); ``analyze`` runs the static causality analyzer
+the robustness invariants (Ctrl-C exits cleanly with a resume hint;
+rerunning the same command resumes from the results store);
+``analyze`` runs the static causality analyzer
 and lints without executing anything; ``profile`` runs one workload
 with the opcode-level profiler and prints per-opcode count /
 virtual-time histograms; ``serve`` runs the causality-as-a-service
 daemon (stdin JSONL by default, localhost HTTP with ``--http``; see
 docs/SERVICE.md); ``serve-chaos`` storms a service with concurrent
 requests under injected faults and checks the service invariants;
-``checkpoints prune`` garbage-collects the checkpoint store;
 ``report`` re-renders the eval tables, the chaos sweep or the
 benchmark trend straight from the columnar results store — sub-second,
 nothing executes.
@@ -577,14 +575,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    from repro.checkpoint import DEFAULT_CHECKPOINT_DIR
     from repro.eval.robustness import chaos_ok, render_chaos, run_chaos
 
     _apply_backend(args)
     _configure_cache(args)
-    checkpoint_dir = args.checkpoint_dir
-    if args.resume and checkpoint_dir is None:
-        checkpoint_dir = DEFAULT_CHECKPOINT_DIR
     store = _open_store(args)
     executor = _make_executor(args)
     try:
@@ -594,22 +588,14 @@ def _cmd_chaos(args) -> int:
             rate=args.fault_rate,
             watchdog_deadline=args.watchdog_deadline,
             jobs=args.jobs,
-            checkpoint_dir=checkpoint_dir,
             store=store,
             executor=executor,
         )
     except KeyboardInterrupt:
-        # Graceful Ctrl-C: finished cells are already on disk (when
-        # checkpointing), so tell the user how to pick the sweep back
-        # up instead of dumping a traceback.
-        if checkpoint_dir is not None:
-            print(
-                "\nchaos: interrupted — finished cells are checkpointed "
-                f"under {checkpoint_dir}; rerun with --resume to continue "
-                "where the sweep left off",
-                file=sys.stderr,
-            )
-        elif store is not None:
+        # Graceful Ctrl-C: finished cells are already in the results
+        # store (unless --no-store), so tell the user how to pick the
+        # sweep back up instead of dumping a traceback.
+        if store is not None:
             print(
                 "\nchaos: interrupted — finished cells are persisted in the "
                 f"results store ({store.path}); rerun the same command to "
@@ -618,8 +604,8 @@ def _cmd_chaos(args) -> int:
             )
         else:
             print(
-                "\nchaos: interrupted — nothing was checkpointed (use "
-                "--resume to make interruptions resumable)",
+                "\nchaos: interrupted — nothing was persisted (rerun "
+                "without --no-store to make interruptions resumable)",
                 file=sys.stderr,
             )
         return 130
@@ -653,25 +639,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_checkpoints(args) -> int:
-    from repro.checkpoint import prune_checkpoints
-
-    max_age = None
-    if args.max_age_hours is not None:
-        max_age = args.max_age_hours * 3600.0
-    summary = prune_checkpoints(
-        args.checkpoint_dir,
-        max_entries=args.max_entries,
-        max_age_seconds=max_age,
-    )
-    print(
-        f"checkpoints: scanned {summary['scanned']}, "
-        f"removed {summary['removed']}, kept {summary['kept']}, "
-        f"reclaimed {summary['reclaimed_bytes']} bytes"
-    )
-    return 0
-
-
 def _cmd_serve(args) -> int:
     from repro.serve import HttpTransport, LdxService, ServeConfig, StdioTransport
 
@@ -685,7 +652,6 @@ def _cmd_serve(args) -> int:
             breaker_threshold=args.breaker_threshold,
             breaker_cooldown=args.breaker_cooldown,
             max_factories=args.max_factories,
-            checkpoint_dir=args.serve_checkpoint_dir,
         )
     )
     if args.http is not None:
@@ -900,20 +866,6 @@ def main(argv: List[str] = None) -> int:
         metavar="NAME",
         help="restrict the sweep to a workload (repeatable; default: all)",
     )
-    chaos_parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="persist finished (workload, seed-chunk) cells and resume an "
-        "interrupted sweep at the first incomplete cell (report "
-        "byte-identical to an uninterrupted run)",
-    )
-    chaos_parser.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help="where checkpoints live (default: .repro-cache/checkpoints; "
-        "implies --resume)",
-    )
     _add_fault_options(chaos_parser, default_rate=0.1)
     _add_parallel_options(chaos_parser)
     _add_store_options(chaos_parser)
@@ -955,10 +907,6 @@ def main(argv: List[str] = None) -> int:
     serve_parser.add_argument(
         "--max-factories", type=int, default=32, metavar="N",
         help="warm engine-factory LRU capacity",
-    )
-    serve_parser.add_argument(
-        "--serve-checkpoint-dir", metavar="DIR", default=None,
-        help="checkpoint degraded in-flight requests here (drain protocol)",
     )
     _add_cache_options(serve_parser)
     _add_backend_option(serve_parser)
@@ -1012,34 +960,6 @@ def main(argv: List[str] = None) -> int:
     _add_store_options(serve_chaos_parser)
     _add_backend_option(serve_chaos_parser)
     serve_chaos_parser.set_defaults(handler=_cmd_serve_chaos)
-
-    checkpoints_parser = commands.add_parser(
-        "checkpoints", help="manage the on-disk checkpoint store"
-    )
-    checkpoint_actions = checkpoints_parser.add_subparsers(
-        dest="action", required=True
-    )
-    prune_parser = checkpoint_actions.add_parser(
-        "prune",
-        help="delete stale checkpoint entries (TTL and/or entry cap)",
-    )
-    from repro.checkpoint import DEFAULT_CHECKPOINT_DIR
-
-    prune_parser.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=DEFAULT_CHECKPOINT_DIR,
-        help=f"checkpoint store location (default: {DEFAULT_CHECKPOINT_DIR})",
-    )
-    prune_parser.add_argument(
-        "--max-entries", type=int, default=None, metavar="N",
-        help="keep at most the newest N entries",
-    )
-    prune_parser.add_argument(
-        "--max-age-hours", type=float, default=None, metavar="H",
-        help="delete entries older than H hours",
-    )
-    prune_parser.set_defaults(handler=_cmd_checkpoints)
 
     args = parser.parse_args(argv)
     try:

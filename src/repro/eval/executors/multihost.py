@@ -30,7 +30,7 @@ same job abstraction as the local one.  The moving parts:
   node raises :class:`ExecutorError`.
 * **Streaming** — results are yielded to the caller the moment a batch
   lands, in completion order; the caller persists each one (results
-  store / checkpoints) and reassembles in plan order.
+  store) and reassembles in plan order.
 
 Remote nodes need the repo importable (``PYTHONPATH``) on the target
 machine and an SSH identity that works non-interactively; see

@@ -111,29 +111,11 @@ def _cell_mutation(strategy: str, names: Tuple[str, ...]):
 
 
 def _cell_chaos(
-    name: str,
-    seeds: Tuple[int, ...],
-    rate: float,
-    watchdog_deadline: float,
-    checkpoint_dir: Optional[str] = None,
+    name: str, seeds: Tuple[int, ...], rate: float, watchdog_deadline: float
 ):
     from repro.eval.robustness import chaos_workload
 
-    if checkpoint_dir is None:
-        return chaos_workload(name, seeds, rate, watchdog_deadline)
-    # Resume mode: a completed cell is served from its checkpoint, an
-    # incomplete one runs and persists.  The key hashes the workload's
-    # source, so editing a workload orphans its stale cells.
-    from repro.checkpoint import CheckpointStore, chaos_cell_key
-    from repro.workloads import get_workload
-
-    store = CheckpointStore(checkpoint_dir)
-    key = chaos_cell_key(
-        name, seeds, rate, watchdog_deadline, get_workload(name).source
-    )
-    return store.load_or_run(
-        key, lambda: chaos_workload(name, seeds, rate, watchdog_deadline)
-    )
+    return chaos_workload(name, seeds, rate, watchdog_deadline)
 
 
 def _cell_table5(name: str):
@@ -239,9 +221,9 @@ def fan_out(
             results[index] = result
     except KeyboardInterrupt:
         # Ctrl-C: abandon queued cells instead of waiting for them.
-        # Cells that already finished were flushed by their workers
-        # (the chaos checkpoint store persists per cell), so a --resume
-        # rerun restarts at the first incomplete cell.
+        # Cells that already finished were persisted as they streamed
+        # back (the results store saves per cell), so a rerun restarts
+        # at the first incomplete cell.
         executor.close()
         raise
     finally:
@@ -376,7 +358,6 @@ def plan_chaos_cells(
     rate: float,
     watchdog_deadline: float,
     seed_chunk: int = CHAOS_CHUNK,
-    checkpoint_dir: Optional[str] = None,
 ) -> List[Cell]:
     """Decompose a chaos sweep into (workload, seed-chunk) cells.
 
@@ -388,13 +369,7 @@ def plan_chaos_cells(
             cells.append(
                 (
                     "chaos",
-                    (
-                        name,
-                        tuple(range(start, stop)),
-                        rate,
-                        watchdog_deadline,
-                        checkpoint_dir,
-                    ),
+                    (name, tuple(range(start, stop)), rate, watchdog_deadline),
                 )
             )
     return cells
@@ -484,29 +459,25 @@ def run_chaos_parallel(
     cache_dir: Optional[str] = None,
     cache_enabled: Optional[bool] = None,
     seed_chunk: int = CHAOS_CHUNK,
-    checkpoint_dir: Optional[str] = None,
     store=None,
     executor=None,
 ):
     """The chaos sweep, fanned out; rows identical to a serial sweep.
 
-    With *checkpoint_dir* each finished (workload, seed-chunk) cell is
-    persisted there, and already-persisted cells are loaded instead of
-    re-run — an interrupted sweep resumes at the first incomplete cell.
-    Loaded or re-run, cells merge in the same planned order, so the
-    resumed report is byte-identical to an uninterrupted one.  With
-    *store* cells additionally persist into the columnar results store
-    (keys exclude the checkpoint dir), making re-runs incremental and
-    the sweep reportable via ``repro report --chaos``.
+    With *store* each finished (workload, seed-chunk) cell persists
+    into the columnar results store and already-stored cells are loaded
+    instead of re-run — an interrupted sweep resumes at the first
+    incomplete cell, and the sweep is reportable via ``repro report
+    --chaos``.  Loaded or re-run, cells merge in the same planned
+    order, so the resumed report is byte-identical to an uninterrupted
+    one.
     """
     from repro.eval.robustness import ChaosRow
     from repro.workloads import ALL_WORKLOADS
 
     jobs = default_jobs() if jobs is None else jobs
     names = names or [workload.name for workload in ALL_WORKLOADS]
-    cells = plan_chaos_cells(
-        names, seeds, rate, watchdog_deadline, seed_chunk, checkpoint_dir
-    )
+    cells = plan_chaos_cells(names, seeds, rate, watchdog_deadline, seed_chunk)
     results, stats = run_cells(
         cells, jobs, cache_dir, cache_enabled, store=store, label="chaos",
         executor=executor,

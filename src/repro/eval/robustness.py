@@ -203,7 +203,6 @@ def run_chaos(
     rate: float = DEFAULT_RATE,
     watchdog_deadline: float = 25_000.0,
     jobs: int = 1,
-    checkpoint_dir: Optional[str] = None,
     store=None,
     executor=None,
 ) -> List[ChaosRow]:
@@ -213,25 +212,20 @@ def run_chaos(
     process pool — or over whatever backend *executor* (a
     :class:`repro.eval.executors.CellExecutor`) names, including
     multihost worker nodes; the merged rows are identical to a serial
-    sweep.  With *checkpoint_dir* finished cells persist there and a
-    re-run resumes at the first incomplete cell (``repro chaos
-    --resume``) — both paths go through the cell decomposition, whose
-    merge is byte-identical to this serial loop for any job count.
-    With *store* (a :class:`repro.results.ResultsStore`) completed
-    cells persist in the columnar results store and a re-run executes
-    only missing cells.
+    sweep.  With *store* (a :class:`repro.results.ResultsStore`)
+    completed cells persist in the columnar results store and a re-run
+    executes only missing cells — both paths go through the cell
+    decomposition, whose merge is byte-identical to this serial loop
+    for any job count.
     """
     names = names or [workload.name for workload in ALL_WORKLOADS]
-    if (
-        jobs > 1 or checkpoint_dir is not None or store is not None
-        or executor is not None
-    ):
+    if jobs > 1 or store is not None or executor is not None:
         from repro.eval.parallel import run_chaos_parallel
 
         return run_chaos_parallel(
             names, seeds=seeds, rate=rate,
             watchdog_deadline=watchdog_deadline, jobs=jobs,
-            checkpoint_dir=checkpoint_dir, store=store, executor=executor,
+            store=store, executor=executor,
         )
     return [
         chaos_workload(name, range(seeds), rate, watchdog_deadline) for name in names

@@ -268,7 +268,6 @@ def degradation_payload(degradation: DegradationReport) -> Dict[str, object]:
         ],
         "engine_failures": list(degradation.engine_failures),
         "decoupled_resources": list(degradation.decoupled_resources),
-        "checkpoints": [list(item) for item in degradation.checkpoints],
         "summary": degradation.summary(),
     }
 

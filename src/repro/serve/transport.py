@@ -17,7 +17,7 @@ payloads are identical JSON objects either way.
 
 SIGTERM/SIGINT trigger the drain protocol on either transport: stop
 admitting (late arrivals get explicit ``overloaded``/``draining``
-responses), finish or checkpoint in-flight work, flush caches, exit 0.
+responses), finish in-flight work, flush caches, exit 0.
 """
 
 from __future__ import annotations

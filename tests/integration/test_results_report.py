@@ -12,6 +12,7 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.eval.parallel import plan_chaos_cells
 from repro.eval.robustness import render_chaos, run_chaos
 from repro.eval.runner import run_all
 from repro.results import (
@@ -105,20 +106,28 @@ def test_torn_store_heals_and_refills(tmp_path):
 def test_chaos_incremental_and_reportable(tmp_path):
     path = str(tmp_path / "results.sqlite")
     store = ResultsStore(path)
-    cold = render_chaos(
-        run_chaos(names=CHAOS_NAMES, seeds=CHAOS_SEEDS, store=store),
-        CHAOS_SEEDS, 0.1,
-    )
-    warm_rows = run_chaos(names=CHAOS_NAMES, seeds=CHAOS_SEEDS, store=store)
-    assert render_chaos(warm_rows, CHAOS_SEEDS, 0.1) == cold
-    run = store.latest_run("chaos")
-    assert run["executed"] == 0 and run["reused"] == run["planned"]
-    # Storeless serial sweep agrees byte for byte.
     serial = render_chaos(
         run_chaos(names=CHAOS_NAMES, seeds=CHAOS_SEEDS), CHAOS_SEEDS, 0.1
     )
-    assert serial == cold
-    assert chaos_report_from_store(store) == cold
+    # An interrupted sweep: only the first workload's cells reached the
+    # store.  The full sweep resumes from them and runs only the rest.
+    run_chaos(names=CHAOS_NAMES[:1], seeds=CHAOS_SEEDS, store=store)
+    first_cells = len(plan_chaos_cells(CHAOS_NAMES[:1], CHAOS_SEEDS, 0.1, 25_000.0))
+    resumed = render_chaos(
+        run_chaos(names=CHAOS_NAMES, seeds=CHAOS_SEEDS, store=store),
+        CHAOS_SEEDS, 0.1,
+    )
+    run = store.latest_run("chaos")
+    assert run["reused"] == first_cells
+    assert run["executed"] == run["planned"] - first_cells > 0
+    assert resumed == serial
+    # A third run executes nothing, and merging cached rows twice would
+    # show up as doubled counts.
+    warm_rows = run_chaos(names=CHAOS_NAMES, seeds=CHAOS_SEEDS, store=store)
+    assert render_chaos(warm_rows, CHAOS_SEEDS, 0.1) == serial
+    run = store.latest_run("chaos")
+    assert run["executed"] == 0 and run["reused"] == run["planned"]
+    assert chaos_report_from_store(store) == serial
     store.close()
 
 

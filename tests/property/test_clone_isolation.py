@@ -103,9 +103,9 @@ def _observe(world: World):
         dict(world.env),
         {k: repr(v) for k, v in world.sources.items()},
         list(connection.sent),
-        connection.cursors(),
+        (connection._incoming, connection._consumed, connection.closed),
         world.clock.peek(),
-        world.rng.state(),
+        [world.rng.clone().next_int() for _ in range(4)],
     )
 
 

@@ -143,53 +143,36 @@ def test_eval_rejects_bad_job_counts():
         main(["eval", "--jobs", "zero"])
 
 
-# -- maintenance and service verbs ---------------------------------------------
+# -- chaos and service verbs ---------------------------------------------------
 
 
-def test_checkpoints_prune_reports_summary(tmp_path, capsys):
-    from repro.checkpoint import CheckpointStore
-
-    store = CheckpointStore(str(tmp_path))
-    for index in range(5):
-        store.save(f"entry{index:03d}", {"i": index})
-    code = main(
-        [
-            "checkpoints",
-            "prune",
-            "--checkpoint-dir",
-            str(tmp_path),
-            "--max-entries",
-            "2",
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "removed 3" in out
-    assert "kept 2" in out
-
-
-def test_checkpoints_prune_missing_dir_is_ok(tmp_path, capsys):
-    code = main(
-        ["checkpoints", "prune", "--checkpoint-dir", str(tmp_path / "absent")]
-    )
-    assert code == 0
-    assert "removed 0" in capsys.readouterr().out
-
-
-def test_chaos_interrupt_prints_resume_hint(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "store_args, hint",
+    [
+        pytest.param(
+            ["--store-path", "{tmp}/chaos.sqlite"],
+            "results store ({tmp}/chaos.sqlite); rerun the same command",
+            id="store",
+        ),
+        pytest.param(["--no-store"], "rerun without --no-store", id="no-store"),
+    ],
+)
+def test_chaos_interrupt_prints_resume_hint(
+    tmp_path, monkeypatch, capsys, store_args, hint
+):
     import repro.eval.robustness as robustness
 
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(robustness, "run_chaos", interrupted)
-    code = main(
-        ["chaos", "--checkpoint-dir", str(tmp_path), "--workload", "gzip"]
-    )
+    store_args = [arg.format(tmp=tmp_path) for arg in store_args]
+    code = main(["chaos", "--workload", "gzip", *store_args])
     assert code == 130
     err = capsys.readouterr().err
     assert "interrupted" in err
-    assert "--resume" in err
+    assert hint.format(tmp=tmp_path) in err
+    assert "--resume" not in err
 
 
 def test_serve_chaos_smoke(capsys):

@@ -160,7 +160,7 @@ def test_fan_out_uses_caller_executor(square_cells):
 def test_blob_roundtrip_preserves_tuples():
     # Chaos payloads nest tuples; JSON alone would degrade them to
     # lists and break content-addressed cell keys.
-    payload = [("chaos", ("gzip", (0, 1, 2), 0.1, 25_000.0, None))]
+    payload = [("chaos", ("gzip", (0, 1, 2), 0.1, 25_000.0))]
     assert decode_blob(encode_blob(payload)) == payload
     assert isinstance(decode_blob(encode_blob(payload))[0][1][1], tuple)
 
@@ -181,7 +181,7 @@ def test_batch_size_targets_steal_factor():
 def test_warm_list_collects_distinct_workloads():
     cells = [
         ("table1", ("gzip",)),
-        ("chaos", ("bzip2", (0, 1), 0.1, 25_000.0, None)),
+        ("chaos", ("bzip2", (0, 1), 0.1, 25_000.0)),
         ("mutation", ("baseline", ("gzip", "apache"))),
         ("table1", ("gzip",)),
     ]

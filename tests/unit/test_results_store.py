@@ -190,13 +190,16 @@ def test_cell_keys_are_stable_and_source_sensitive():
     assert spec_for_cell(("table2", ("gzip",))).key != spec1.key
 
 
-def test_chaos_keys_ignore_checkpoint_dir_but_not_config():
-    base = ("chaos", ("gzip", (0, 1, 2), 0.1, 25_000.0, None))
-    elsewhere = ("chaos", ("gzip", (0, 1, 2), 0.1, 25_000.0, "/tmp/ckpt"))
-    assert spec_for_cell(base).key == spec_for_cell(elsewhere).key
-    other_rate = ("chaos", ("gzip", (0, 1, 2), 0.2, 25_000.0, None))
+def test_chaos_keys_track_config_and_seeds():
+    base = ("chaos", ("gzip", (0, 1, 2), 0.1, 25_000.0))
+    # Pinned: existing stores must keep hitting, so a chaos cell's key
+    # may only move when the gzip workload's source does.
+    assert spec_for_cell(base).key == (
+        "65d379d34b64fd6a138d09b65ad835db90e9a93eb8854bc703d00a10b21c0015"
+    )
+    other_rate = ("chaos", ("gzip", (0, 1, 2), 0.2, 25_000.0))
     assert spec_for_cell(other_rate).key != spec_for_cell(base).key
-    other_seeds = ("chaos", ("gzip", (3, 4, 5), 0.1, 25_000.0, None))
+    other_seeds = ("chaos", ("gzip", (3, 4, 5), 0.1, 25_000.0))
     assert spec_for_cell(other_seeds).key != spec_for_cell(base).key
     # Config changes move the fingerprint; coordinate changes don't.
     assert spec_for_cell(other_rate).fingerprint != spec_for_cell(base).fingerprint

@@ -105,18 +105,54 @@ def test_faulted_run_does_not_contaminate_the_next():
     assert _canonical(clean) == _fresh_verdict("gzip")
 
 
+def _world_state(world):
+    """Everything a run could observe or mutate in *world*."""
+    fs = world.fs
+
+    def dirs(path):
+        children = [path.rstrip("/") + "/" + name for name in fs.listdir(path)]
+        return [(child, dirs(child)) for child in children if fs.is_dir(child)]
+
+    rng = world.rng.clone()
+    return {
+        "seed": world.seed,
+        "dirs": dirs("/"),
+        "files": {
+            path: (fs.read_file(path).content, fs.read_file(path).mtime)
+            for path in fs.paths()
+        },
+        "env": dict(world.env),
+        "stdin": world.stdin,
+        "sources": repr(world.sources),
+        "clock": world.clock.peek(),
+        "rng": [rng.next_int() for _ in range(4)],
+        "pid": world.pid,
+        "heap_base": world.heap_base,
+        "connections": [
+            (
+                connection.address,
+                list(connection.sent),
+                connection._incoming,
+                connection._consumed,
+                connection.closed,
+            )
+            for connection in world.network.connections
+        ],
+    }
+
+
 def test_base_world_is_never_mutated_by_runs():
     workload = get_workload("gzip")
     factory = EngineFactory.for_workload(workload)
     # The first clone may compact the base overlay (copy-on-write
     # re-parenting); that is representation, not content.  After the
-    # warmup the snapshot must be bit-stable across arbitrary runs.
+    # warmup the observable state must be stable across arbitrary runs.
     factory.run(workload.leak_variant())
-    before = factory.base_world.snapshot()
+    before = _world_state(factory.base_world)
     factory.run(workload.leak_variant())
     factory.run(workload.leak_variant(), faults=FaultConfig(seed=3, rate=0.3))
     factory.run(workload.leak_variant(), max_instructions=50)
-    assert factory.base_world.snapshot() == before
+    assert _world_state(factory.base_world) == before
 
 
 # -- concurrent reuse ----------------------------------------------------------

@@ -54,7 +54,6 @@ from repro.analysis.controldep import transitive_control_dependence
 from repro.analysis.lockset import (
     LocksetReport,
     address_taken,
-    analyze_locksets,
     funcref_targets,
 )
 from repro.cfg.callgraph import CallGraph
@@ -551,15 +550,3 @@ def static_causality(
         abort_reasons=tuple(abort_reasons),
         seeds=seeds,
     )
-
-
-def causality_for_module(
-    module: IRModule,
-    config,
-    callgraph: Optional[CallGraph] = None,
-) -> Tuple[StaticCausality, LocksetReport]:
-    """Convenience wrapper: locksets then taint, sharing one callgraph."""
-    callgraph = callgraph if callgraph is not None else CallGraph(module)
-    locksets = analyze_locksets(module, callgraph)
-    seeds = StaticSeeds.from_config(config, locksets)
-    return static_causality(module, seeds, callgraph), locksets

@@ -184,17 +184,6 @@ class TaintTracker:
             self._objects[id(obj)] = shadow
         return shadow
 
-    def taint_object(self, obj, taint: FrozenSet[str]) -> None:
-        """Container-level taint (element identity unknown)."""
-        if not isinstance(obj, list) or not taint:
-            return
-        shadow = self._object_shadow(obj)
-        shadow.whole = shadow.whole | taint
-
-    def object_taint(self, obj) -> FrozenSet[str]:
-        shadow = self._objects.get(id(obj))
-        return shadow.full() if shadow is not None else EMPTY
-
     def args_taint(self, machine, event) -> FrozenSet[str]:
         """Union taint of a syscall event's arguments."""
         frame = machine.threads[event.thread_id].frames[-1]

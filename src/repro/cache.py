@@ -76,16 +76,6 @@ SCHEMA_TAG = "ldx-artifact-v4"
 # v4: relevance rows/totals carry prunable counter-update counts.
 ANALYSIS_SCHEMA_TAG = "ldx-analysis-v4"
 
-# Bump when the threaded-code compiler's closure layout / fusion rules
-# change.  Compiled modules are arrays of Python closures and cannot be
-# pickled, so this cache is memory-only — the tag still participates in
-# the content address to keep keys disjoint from other artifact kinds.
-# v2: relevance-guided widened regions with path-local register caching.
-# v3: hoisted int-type guards + induction-variable specialization for
-# self-reentering regions; pruned plans fold ElidedAdd ghosts.
-# v4: regions are the only fusion codegen (straight-line runs removed).
-COMPILED_SCHEMA_TAG = "ldx-threaded-v4"
-
 # Bump when the pickled result-row layout of any eval/chaos cell class
 # changes.  Shared by the columnar results store (repro.results): a tag
 # bump orphans every stored cell, so a re-run recomputes them instead
@@ -252,10 +242,6 @@ class ArtifactCache:
         with self._lock:
             return len(self._memory)
 
-    def clear_memory(self) -> None:
-        with self._lock:
-            self._memory.clear()
-
     # -- disk layer ------------------------------------------------------------
 
     def _entry_path(self, key: str) -> Optional[str]:
@@ -341,8 +327,6 @@ class ArtifactCache:
 
 _GLOBAL = ArtifactCache()
 _ANALYSIS = ArtifactCache(schema_tag=ANALYSIS_SCHEMA_TAG, payload_type=None)
-# Closures are unpicklable: no cache_dir, ever.
-_COMPILED = ArtifactCache(schema_tag=COMPILED_SCHEMA_TAG, payload_type=None)
 
 
 def configure(
@@ -351,21 +335,13 @@ def configure(
     capacity: int = 128,
 ) -> ArtifactCache:
     """Replace the process-global caches; returns the artifact one."""
-    global _GLOBAL, _ANALYSIS, _COMPILED
+    global _GLOBAL, _ANALYSIS
     _GLOBAL = ArtifactCache(capacity=capacity, cache_dir=cache_dir, enabled=enabled)
     _ANALYSIS = ArtifactCache(
         capacity=capacity,
         cache_dir=cache_dir,
         enabled=enabled,
         schema_tag=ANALYSIS_SCHEMA_TAG,
-        payload_type=None,
-    )
-    # Deliberately ignores cache_dir: closures never round-trip pickle.
-    _COMPILED = ArtifactCache(
-        capacity=capacity,
-        cache_dir=None,
-        enabled=enabled,
-        schema_tag=COMPILED_SCHEMA_TAG,
         payload_type=None,
     )
     return _GLOBAL
@@ -379,44 +355,11 @@ def get_analysis_cache() -> ArtifactCache:
     return _ANALYSIS
 
 
-def get_compiled_cache() -> ArtifactCache:
-    return _COMPILED
-
-
 def instrumented_for(
     source: str, config: Optional[Dict[str, object]] = None
 ) -> InstrumentedModule:
     """Module-level convenience: look *source* up in the global cache."""
     return _GLOBAL.instrumented(source, config)
-
-
-def compiled_for(
-    source: str,
-    config: Optional[Dict[str, object]] = None,
-    fuse: bool = True,
-):
-    """Content-addressed threaded-code compilation of *source*.
-
-    Key: source text + instrumentation config + backend schema tag +
-    the fusion and relevance switches.  Routes through the
-    instrumentation cache first (the compiled artifact is a pure
-    function of the instrumented module), then through the per-module
-    weak memo inside the compiler, so repeated lookups within one
-    process never recompile.
-    """
-    from repro.interp.compile import compiled_for_module  # cycle-free local import
-
-    full_config = dict(config or {})
-    full_config["fuse"] = fuse
-    # The relevance switch selects the plan variant (pruned/full), so it
-    # must join the key.
-    full_config["relevance_pruning"] = relevance_enabled()
-    key = artifact_key(source, full_config, schema_tag=COMPILED_SCHEMA_TAG)
-    instrumented = instrumented_for(source, config)
-    return _COMPILED.lookup(
-        key,
-        lambda: compiled_for_module(instrumented.module, instrumented.plan, fuse=fuse),
-    )
 
 
 def analysis_for(source: str, fingerprint: str, builder):

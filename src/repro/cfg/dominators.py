@@ -1,9 +1,12 @@
-"""Dominator and postdominator computation (iterative data-flow
-formulation).
+"""Dominator and postdominator computation (Cooper–Harvey–Kennedy).
 
-Function CFGs here are instruction-granular and small, so the classic
-iterate-until-fixpoint set algorithm is plenty fast and trivially
-correct — the property tests exercise it against a brute-force check.
+One algorithm computes every dominance fact here: the immediate
+dominator tree of "A Simple, Fast Dominance Algorithm" (Cooper, Harvey
+and Kennedy).  It sweeps the nodes in reverse postorder, setting each
+node's idom to the nearest common ancestor of its processed
+predecessors, until nothing changes.  Dominator sets are read off that
+tree: a node's set is its idom's set plus itself.  The property tests
+check the tree and the sets against a brute-force path search.
 
 Postdominators are dominators of the reversed CFG, rooted at the unique
 exit node every :class:`~repro.ir.function.IRFunction` guarantees.  They
@@ -15,7 +18,59 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
-from repro.cfg.graph import Digraph
+from repro.cfg.graph import Digraph, function_digraph
+
+
+def _reverse_postorder(graph: Digraph, root: int) -> List[int]:
+    """Nodes reachable from *root*, in reverse postorder of an iterative DFS."""
+    postorder: List[int] = []
+    seen = {root}
+    stack = [(root, iter(graph.succs(root)))]
+    while stack:
+        node, successors = stack[-1]
+        for succ in successors:
+            if succ not in seen:
+                seen.add(succ)
+                stack.append((succ, iter(graph.succs(succ))))
+                break
+        else:
+            stack.pop()
+            postorder.append(node)
+    postorder.reverse()
+    return postorder
+
+
+def immediate_dominators(graph: Digraph, entry: int) -> Dict[int, int]:
+    """Map each reachable node (except entry) to its immediate dominator.
+
+    Keys come in reverse postorder, so every node's idom precedes it.
+    """
+    order = _reverse_postorder(graph, entry)
+    position = {node: index for index, node in enumerate(order)}
+    idom: Dict[int, int] = {entry: entry}
+    changed = True
+    while changed:
+        changed = False
+        for node in order[1:]:
+            new_idom = None
+            for pred in graph.preds(node):
+                if pred not in idom:
+                    continue  # unreachable, or not yet reached by the first sweep
+                if new_idom is None:
+                    new_idom = pred
+                    continue
+                # Walk both fingers up the tree to their common ancestor.
+                finger = pred
+                while finger != new_idom:
+                    while position[finger] > position[new_idom]:
+                        finger = idom[finger]
+                    while position[new_idom] > position[finger]:
+                        new_idom = idom[new_idom]
+            if idom.get(node) != new_idom:
+                idom[node] = new_idom
+                changed = True
+    del idom[entry]
+    return idom
 
 
 def compute_dominators(graph: Digraph, entry: int) -> Dict[int, Set[int]]:
@@ -24,59 +79,16 @@ def compute_dominators(graph: Digraph, entry: int) -> Dict[int, Set[int]]:
     Unreachable nodes get an empty dominator set and are ignored by loop
     detection.
     """
-    reachable = graph.reachable_from(entry)
-    dominators: Dict[int, Set[int]] = {}
-    for node in graph.nodes:
-        if node not in reachable:
-            dominators[node] = set()
-        elif node == entry:
-            dominators[node] = {entry}
-        else:
-            dominators[node] = set(reachable)
-
-    order = [node for node in sorted(reachable)]
-    changed = True
-    while changed:
-        changed = False
-        for node in order:
-            if node == entry:
-                continue
-            pred_sets = [
-                dominators[pred]
-                for pred in graph.preds(node)
-                if pred in reachable
-            ]
-            if pred_sets:
-                new_set = set.intersection(*pred_sets)
-            else:
-                new_set = set()
-            new_set = new_set | {node}
-            if new_set != dominators[node]:
-                dominators[node] = new_set
-                changed = True
+    dominators: Dict[int, Set[int]] = {node: set() for node in graph.nodes}
+    dominators[entry] = {entry}
+    for node, parent in immediate_dominators(graph, entry).items():
+        dominators[node] = dominators[parent] | {node}
     return dominators
 
 
 def dominates(dominators: Dict[int, Set[int]], a: int, b: int) -> bool:
     """True when node *a* dominates node *b*."""
     return a in dominators.get(b, ())
-
-
-def immediate_dominators(graph: Digraph, entry: int) -> Dict[int, int]:
-    """Map each reachable node (except entry) to its immediate dominator."""
-    dominators = compute_dominators(graph, entry)
-    idom: Dict[int, int] = {}
-    for node, doms in dominators.items():
-        if not doms or node == entry:
-            continue
-        strict: List[int] = [d for d in doms if d != node]
-        # The immediate dominator is the strict dominator dominated by
-        # all other strict dominators.
-        for candidate in strict:
-            if all(dominates(dominators, other, candidate) for other in strict):
-                idom[node] = candidate
-                break
-    return idom
 
 
 # -- postdominators ------------------------------------------------------------
@@ -113,12 +125,8 @@ def immediate_postdominators_of(graph: Digraph, exit_node: int) -> Dict[int, int
 def immediate_postdominators(function) -> Dict[int, int]:
     """ipostdom per node of an :class:`~repro.ir.function.IRFunction`.
 
-    Promoted from ``baselines/dualex/indexing.py`` (which re-exports it
-    for backward compatibility): branch regions in execution indexing
-    close at the predicate's immediate postdominator, and the static
-    analyzer's control-dependence pass walks the same tree.
+    Branch regions in DualEx's execution indexing close at the
+    predicate's immediate postdominator, and the static analyzer's
+    control-dependence pass walks the same tree.
     """
-    graph = Digraph(range(len(function.instrs)))
-    for src, dst in function.edges():
-        graph.add_edge(src, dst)
-    return immediate_postdominators_of(graph, function.exit)
+    return immediate_postdominators_of(function_digraph(function), function.exit)

@@ -250,9 +250,6 @@ class _FunctionCompiler:
             return None
         return self.plan.actions_for(src, dst)
 
-    def _edge_is_free(self, src: int, dst: int) -> bool:
-        return not self._edge_actions(src, dst)
-
     def _edge(self, src: int, dst: int) -> Optional[Step]:
         """Compiled crossing of edge src->dst; None when action-free
         (callers inline the index store)."""

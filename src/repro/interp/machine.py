@@ -601,9 +601,6 @@ class Machine:
             self._mutex_owner[mutex_id] = None
         return True
 
-    def mutex_holder(self, mutex_id: int) -> Optional[int]:
-        return self._mutex_owner.get(mutex_id)
-
     def _finish_lock_acquisition(self, thread: ThreadState) -> None:
         """A queued mutex_lock finally succeeded — deliver its result."""
         event = thread.pending_event

@@ -2,7 +2,13 @@
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.cfg.dominators import compute_dominators
+from repro.cfg.dominators import (
+    compute_dominators,
+    compute_postdominators,
+    immediate_dominators,
+    immediate_postdominators_of,
+    reversed_digraph,
+)
 from repro.cfg.graph import Digraph
 from repro.core.channel import counter_geq, counter_less
 from repro.core.mutation import (
@@ -72,18 +78,46 @@ def _paths_avoiding(graph, start, target, avoid):
     return False
 
 
-@given(small_digraphs())
+def _brute_dominance(graph, root):
+    """(dominator sets, idoms) by path search: *d* dominates *n* iff every
+    path from *root* to *n* passes through *d*."""
+    reachable = graph.reachable_from(root)
+    sets = {
+        node: {
+            candidate
+            for candidate in reachable
+            if candidate == node or not _paths_avoiding(graph, root, node, candidate)
+        }
+        for node in reachable
+    }
+    idom = {}
+    for node, doms in sets.items():
+        strict = doms - {node}
+        # The nearest strict dominator is the one all the others dominate.
+        nearest = [d for d in strict if strict - {d} <= sets[d]]
+        if node != root:
+            assert len(nearest) == 1
+            idom[node] = nearest[0]
+    return sets, idom
+
+
+@given(small_digraphs(), st.integers(0, 6))
 @settings(max_examples=60, deadline=None)
-def test_dominators_match_brute_force(graph):
+def test_dominators_match_brute_force(graph, exit_choice):
     entry = 0
+    sets, idom = _brute_dominance(graph, entry)
     dominators = compute_dominators(graph, entry)
-    reachable = graph.reachable_from(entry)
-    for node in reachable:
-        for candidate in reachable:
-            brute = candidate == node or not _paths_avoiding(
-                graph, entry, node, candidate
-            )
-            assert (candidate in dominators[node]) == brute
+    for node in graph.nodes:
+        assert dominators[node] == sets.get(node, set())
+    assert immediate_dominators(graph, entry) == idom
+
+    exit_node = exit_choice % len(graph.nodes)
+    sets, ipostdom = _brute_dominance(reversed_digraph(graph), exit_node)
+    postdominators = compute_postdominators(graph, exit_node)
+    for node in graph.nodes:
+        # No path to the exit: an empty set, and no ipostdom below.
+        assert postdominators[node] == sets.get(node, set())
+    assert immediate_postdominators_of(graph, exit_node) == ipostdom
 
 
 # -- mutation strategies -------------------------------------------------------

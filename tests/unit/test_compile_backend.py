@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import cache
 from repro.baselines.native import run_native
 from repro.errors import InterpreterError
 from repro.instrument import instrument_module
@@ -113,26 +112,6 @@ def test_compile_memo_reuses_compilations():
     clear_compile_memo()
     third = compiled_for_module(module, None, fuse=True)
     assert third is not first
-
-
-def test_compiled_for_cache_content_addresses():
-    compiled = cache.compiled_for(LOOP)
-    again = cache.compiled_for(LOOP)
-    assert compiled is again
-    unfused = cache.compiled_for(LOOP, fuse=False)
-    assert unfused is not compiled
-    assert compiled.fused_count > 0
-    assert unfused.fused_count == 0
-
-
-def test_compiled_cache_is_memory_only():
-    # Closures never round-trip pickle; configure() must keep the
-    # compiled layer off disk even when a cache_dir is given.
-    cache.configure(cache_dir="/tmp/ldx-test-should-not-be-used")
-    try:
-        assert cache.get_compiled_cache().cache_dir is None
-    finally:
-        cache.configure()
 
 
 # -- identity of observable behaviour -------------------------------------------

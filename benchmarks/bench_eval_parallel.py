@@ -19,6 +19,7 @@ import time
 import pytest
 
 from repro.cache import ArtifactCache
+from repro.eval.executors import make_executor
 from repro.eval.runner import run_all
 from repro.workloads import ALL_WORKLOADS
 
@@ -30,14 +31,17 @@ SPEEDUP_FLOOR = 2.5
 @pytest.mark.paper
 def test_parallel_eval_speedup(benchmark):
     start = time.perf_counter()
-    serial_report = run_all(table4_runs=TABLE4_RUNS, jobs=1)
+    serial_report = run_all(table4_runs=TABLE4_RUNS).report
     serial_seconds = time.perf_counter() - start
 
     parallel_report = None
 
     def parallel_run():
         nonlocal parallel_report
-        parallel_report = run_all(table4_runs=TABLE4_RUNS, jobs=JOBS)
+        with make_executor(JOBS) as executor:
+            parallel_report = run_all(
+                table4_runs=TABLE4_RUNS, executor=executor
+            ).report
 
     benchmark.pedantic(parallel_run, rounds=1, iterations=1)
     parallel_seconds = benchmark.stats.stats.total

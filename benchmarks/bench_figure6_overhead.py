@@ -7,16 +7,20 @@ orders of magnitude.  The shape assertions below encode exactly that.
 
 import pytest
 
-from repro.eval.figure6 import render_figure6, run_figure6
+from repro.eval.figure6 import render_figure6
+from repro.eval.parallel import plan_eval_cells, run_cells
 from repro.eval.reporting import arithmetic_mean, geometric_mean
 
 
 @pytest.mark.paper
 def test_figure6_ldx_overhead(benchmark):
     """LDX's two bars (same-input and mutated-input runs)."""
-    rows = benchmark.pedantic(
-        run_figure6, kwargs={"with_heavy_baselines": False}, rounds=1, iterations=1
-    )
+    cells = [
+        ("figure6", (payload[0], False))
+        for kind, payload in plan_eval_cells()
+        if kind == "figure6"
+    ]
+    rows, _stats = benchmark.pedantic(run_cells, (cells,), rounds=1, iterations=1)
     print()
     print(render_figure6(rows))
     coupled_geo = geometric_mean([row.ldx_coupled for row in rows]) - 1.0
@@ -29,12 +33,8 @@ def test_figure6_ldx_overhead(benchmark):
 @pytest.mark.paper
 def test_figure6_baseline_contrast(benchmark):
     """LIBDFT several-x; TaintGrind worse; DualEx orders of magnitude."""
-    rows = benchmark.pedantic(
-        run_figure6,
-        kwargs={"with_heavy_baselines": True, "names": ["bzip2", "hmmer", "sjeng"]},
-        rounds=1,
-        iterations=1,
-    )
+    cells = [("figure6", (name, True)) for name in ("bzip2", "hmmer", "sjeng")]
+    rows, _stats = benchmark.pedantic(run_cells, (cells,), rounds=1, iterations=1)
     print()
     print(render_figure6(rows))
     libdft = arithmetic_mean([row.libdft for row in rows])

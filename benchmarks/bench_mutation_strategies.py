@@ -6,15 +6,19 @@ off-by-one detects at least as many true leaks as each alternative.
 
 import pytest
 
-from repro.eval.mutation_study import (
-    render_mutation_study,
-    run_mutation_study,
-)
+from repro.eval.mutation_study import render_mutation_study
+from repro.eval.parallel import plan_eval_cells, run_cells
 
 
 @pytest.mark.paper
 def test_mutation_strategies(benchmark):
-    outcomes = benchmark.pedantic(run_mutation_study, rounds=1, iterations=1)
+    cells = [cell for cell in plan_eval_cells() if cell[0] == "mutation"]
+    results, _stats = benchmark.pedantic(
+        run_cells, (cells,), rounds=1, iterations=1
+    )
+    outcomes = {
+        payload[0]: result for (_kind, payload), result in zip(cells, results)
+    }
     print()
     print(render_mutation_study(outcomes))
     detected = {

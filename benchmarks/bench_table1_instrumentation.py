@@ -7,7 +7,8 @@ EXPERIMENTS.md / the paper's Table 1).
 
 import pytest
 
-from repro.eval.table1 import render_table1, run_table1
+from repro.eval.parallel import plan_eval_cells, run_cells
+from repro.eval.table1 import render_table1
 from repro.instrument import instrument_module
 from repro.ir import compile_source
 from repro.workloads import ALL_WORKLOADS, get_workload
@@ -16,7 +17,8 @@ from repro.workloads import ALL_WORKLOADS, get_workload
 @pytest.mark.paper
 def test_table1_full(benchmark):
     """Regenerate the whole of Table 1."""
-    rows = benchmark.pedantic(run_table1, rounds=1, iterations=1)
+    cells = [cell for cell in plan_eval_cells() if cell[0] == "table1"]
+    rows, _stats = benchmark.pedantic(run_cells, (cells,), rounds=1, iterations=1)
     print()
     print(render_table1(rows))
     assert len(rows) == 28

@@ -8,12 +8,14 @@ false-positives on benign-but-divergent mutations.
 
 import pytest
 
-from repro.eval.table2 import IMPOSSIBLE, LEAK, CLEAN, render_table2, run_table2
+from repro.eval.parallel import plan_eval_cells, run_cells
+from repro.eval.table2 import IMPOSSIBLE, LEAK, CLEAN, render_table2
 
 
 @pytest.mark.paper
 def test_table2(benchmark):
-    rows = benchmark.pedantic(run_table2, rounds=1, iterations=1)
+    cells = [cell for cell in plan_eval_cells() if cell[0] == "table2"]
+    rows, _stats = benchmark.pedantic(run_cells, (cells,), rounds=1, iterations=1)
     print()
     print(render_table2(rows))
     assert len(rows) == 17  # 5 netsys + 12 SPEC models

@@ -8,12 +8,14 @@ preprocessor being the case study) are invisible to both tools.
 
 import pytest
 
-from repro.eval.table3 import render_table3, run_table3
+from repro.eval.parallel import plan_eval_cells, run_cells
+from repro.eval.table3 import render_table3
 
 
 @pytest.mark.paper
 def test_table3(benchmark):
-    rows = benchmark.pedantic(run_table3, rounds=1, iterations=1)
+    cells = [cell for cell in plan_eval_cells() if cell[0] == "table3"]
+    rows, _stats = benchmark.pedantic(run_cells, (cells,), rounds=1, iterations=1)
     print()
     print(render_table3(rows))
     assert len(rows) == 23  # everything except the concurrency set

@@ -10,15 +10,20 @@ Internet connections).
 
 import pytest
 
-from repro.eval.table4 import render_table4, run_table4
+from repro.eval.parallel import plan_eval_cells, run_cells
+from repro.eval.table4 import render_table4, rows_from_chunks
 
 RUNS = 100
 
 
 @pytest.mark.paper
 def test_table4(benchmark):
-    rows = benchmark.pedantic(
-        run_table4, kwargs={"runs": RUNS}, rounds=1, iterations=1
+    cells = [cell for cell in plan_eval_cells(RUNS) if cell[0] == "table4"]
+    chunks, _stats = benchmark.pedantic(
+        run_cells, (cells,), rounds=1, iterations=1
+    )
+    rows = rows_from_chunks(
+        (payload[0], chunk) for (_kind, payload), chunk in zip(cells, chunks)
     )
     print()
     print(render_table4(rows, RUNS))

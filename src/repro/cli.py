@@ -40,12 +40,13 @@ and still renders a byte-identical report.  ``--no-store`` opts out.
 ``threaded``).  Events, verdicts, clocks and reports are byte-identical
 across backends; only wall-clock speed differs.
 
-``eval``, ``chaos`` and ``serve-chaos`` accept ``--executor
-{serial,local,multihost}`` / ``--nodes HOST,HOST,...`` to pick *where*
-experiment cells run: in process, over a local process pool, or fanned
-out to worker nodes on other machines (``localhost`` entries spawn
-subprocess nodes; see docs/DISTRIBUTED.md).  Reports are byte-identical
-across executors, node counts, and node failures mid-sweep.
+``eval``, ``chaos`` and ``serve-chaos`` plan their work as cells and
+run them where ``--jobs N`` / ``--nodes HOST,HOST,...`` say: in process
+by default, over a local process pool with ``--jobs N`` (N > 1), or on
+worker nodes with ``--nodes`` (``localhost`` entries spawn subprocess
+nodes, other hosts are reached over SSH; see docs/DISTRIBUTED.md).
+Reports are byte-identical across job counts, node counts, and node
+failures mid-sweep.
 """
 
 from __future__ import annotations
@@ -134,13 +135,13 @@ def _add_world_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=1, help="world seed")
 
 
-def _jobs(text: str) -> int:
+def _positive(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid job count {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid count {text!r}")
     if value < 1:
-        raise argparse.ArgumentTypeError(f"--jobs must be >= 1, got {text}")
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return value
 
 
@@ -184,35 +185,25 @@ def _open_store(args):
     return ResultsStore(args.store_path)
 
 
-def _add_executor_options(parser: argparse.ArgumentParser) -> None:
-    from repro.eval.executors import EXECUTOR_NAMES
-
-    parser.add_argument(
-        "--executor",
-        choices=EXECUTOR_NAMES,
-        default=None,
-        help="cell execution backend (default: serial for --jobs 1, a "
-        "local process pool otherwise; multihost fans out to --nodes — "
-        "output is byte-identical across all of them)",
-    )
+def _add_nodes_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--nodes",
         metavar="HOST,HOST*N,...",
         default=None,
-        help="worker nodes for --executor multihost (implies it): "
-        "'localhost' spawns a subprocess node on this machine, anything "
-        "else is reached over ssh; HOST*N repeats a host N times",
+        help="run cells on worker nodes instead of this process "
+        "(exclusive with --jobs N>1): 'localhost' spawns a subprocess "
+        "node on this machine, anything else is reached over ssh; "
+        "HOST*N repeats a host N times",
     )
 
 
 def _make_executor(args):
-    """The CellExecutor the flags ask for, or None (jobs-based default)."""
+    """The CellExecutor ``--jobs``/``--nodes`` ask for."""
     from repro.eval.executors import make_executor
 
     return make_executor(
-        getattr(args, "executor", None),
-        jobs=getattr(args, "jobs", 1),
-        nodes=getattr(args, "nodes", None),
+        args.jobs,
+        nodes=args.nodes,
         cache_dir=None if args.no_cache else args.cache_dir,
         cache_enabled=not args.no_cache,
     )
@@ -221,13 +212,13 @@ def _make_executor(args):
 def _add_parallel_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
-        type=_jobs,
+        type=_positive,
         default=1,
         metavar="N",
         help="worker processes for the evaluation fan-out (1 = serial; "
         "output is byte-identical for any value)",
     )
-    _add_executor_options(parser)
+    _add_nodes_option(parser)
     _add_cache_options(parser)
 
 
@@ -415,9 +406,6 @@ def _cmd_eval(args) -> int:
     try:
         result = run_all(
             table4_runs=args.table4_runs,
-            jobs=args.jobs,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            use_cache=not args.no_cache,
             check_static=args.check_static,
             table5_path=args.table5_json,
             store_path=None if args.no_store else args.store_path,
@@ -442,8 +430,7 @@ def _cmd_eval(args) -> int:
             )
         return 130
     finally:
-        if executor is not None:
-            executor.close()
+        executor.close()
     print(result.report)
     if not result.static_ok:
         print(
@@ -579,15 +566,14 @@ def _cmd_chaos(args) -> int:
 
     _apply_backend(args)
     _configure_cache(args)
-    store = _open_store(args)
     executor = _make_executor(args)
+    store = _open_store(args)
     try:
         rows = run_chaos(
             names=args.workload or None,
             seeds=args.seeds,
             rate=args.fault_rate,
             watchdog_deadline=args.watchdog_deadline,
-            jobs=args.jobs,
             store=store,
             executor=executor,
         )
@@ -610,8 +596,7 @@ def _cmd_chaos(args) -> int:
             )
         return 130
     finally:
-        if executor is not None:
-            executor.close()
+        executor.close()
         if store is not None:
             store.close()
     print(render_chaos(rows, args.seeds, args.fault_rate))
@@ -677,12 +662,10 @@ def _cmd_serve_chaos(args) -> int:
             tiny_deadline_every=args.tiny_deadline_every,
             poison_every=args.poison_every,
             url=args.url,
-            jobs=args.jobs,
             executor=executor,
         )
     finally:
-        if executor is not None:
-            executor.close()
+        executor.close()
     store = _open_store(args)
     if store is not None and store.enabled:
         store.record_bench(
@@ -737,7 +720,7 @@ def main(argv: List[str] = None) -> int:
     leak_parser.set_defaults(handler=_cmd_leak)
 
     eval_parser = commands.add_parser("eval", help="regenerate the paper's tables")
-    eval_parser.add_argument("--table4-runs", type=int, default=100)
+    eval_parser.add_argument("--table4-runs", type=_positive, default=100)
     eval_parser.add_argument(
         "--check-static",
         action="store_true",
@@ -858,7 +841,8 @@ def main(argv: List[str] = None) -> int:
         "chaos", help="sweep fault-injection seeds and check robustness invariants"
     )
     chaos_parser.add_argument(
-        "--seeds", type=int, default=50, help="number of fault seeds to sweep"
+        "--seeds", type=_positive, default=50,
+        help="number of fault seeds to sweep"
     )
     chaos_parser.add_argument(
         "--workload",
@@ -885,7 +869,7 @@ def main(argv: List[str] = None) -> int:
         "ephemeral; the bound port is announced on stdout)",
     )
     serve_parser.add_argument(
-        "--workers", type=_jobs, default=2, metavar="N",
+        "--workers", type=_positive, default=2, metavar="N",
         help="worker threads draining the admission queue",
     )
     serve_parser.add_argument(
@@ -923,7 +907,7 @@ def main(argv: List[str] = None) -> int:
         help="requests in the storm",
     )
     serve_chaos_parser.add_argument(
-        "--workers", type=_jobs, default=2, metavar="N",
+        "--workers", type=_positive, default=2, metavar="N",
         help="service worker threads (in-process mode)",
     )
     serve_chaos_parser.add_argument(
@@ -951,11 +935,11 @@ def main(argv: List[str] = None) -> int:
         help="transient-fault probability per eligible syscall (0 disables)",
     )
     serve_chaos_parser.add_argument(
-        "--jobs", type=_jobs, default=1, metavar="N",
+        "--jobs", type=_positive, default=1, metavar="N",
         help="worker processes for the post-storm baseline verification "
         "(1 = serial; the outcome is identical for any value)",
     )
-    _add_executor_options(serve_chaos_parser)
+    _add_nodes_option(serve_chaos_parser)
     _add_cache_options(serve_chaos_parser)
     _add_store_options(serve_chaos_parser)
     _add_backend_option(serve_chaos_parser)

@@ -8,7 +8,6 @@ contract, :mod:`.local` for the single-host backends and
 from repro.eval.executors.base import (
     Cell,
     CellExecutor,
-    EXECUTOR_NAMES,
     ExecutorError,
     make_executor,
     parse_nodes,
@@ -19,7 +18,6 @@ from repro.eval.executors.multihost import MultiHostExecutor
 __all__ = [
     "Cell",
     "CellExecutor",
-    "EXECUTOR_NAMES",
     "ExecutorError",
     "LocalPoolExecutor",
     "MultiHostExecutor",

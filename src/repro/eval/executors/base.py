@@ -22,10 +22,9 @@ the planners or the results store caring:
 
 Backends: :class:`~repro.eval.executors.local.SerialExecutor` (in
 process), :class:`~repro.eval.executors.local.LocalPoolExecutor`
-(process pool, the old ``fan_out`` behavior) and
-:class:`~repro.eval.executors.multihost.MultiHostExecutor` (worker
-nodes over subprocess/SSH with work stealing and dead-node
-re-dispatch).  All three produce byte-identical reports: cells are
+(process pool) and :class:`~repro.eval.executors.multihost.MultiHostExecutor`
+(worker nodes over subprocess/SSH with work stealing and dead-node
+re-dispatch); :func:`make_executor` picks one from ``--jobs``/``--nodes``.  All three produce byte-identical reports: cells are
 pure functions of their spec.
 """
 
@@ -37,8 +36,6 @@ from repro.errors import ReproError
 
 # A cell is (kind, payload-of-primitives); see repro.eval.parallel.
 Cell = Tuple[str, tuple]
-
-EXECUTOR_NAMES = ("serial", "local", "multihost")
 
 
 class ExecutorError(ReproError):
@@ -109,54 +106,36 @@ def parse_nodes(spec: str) -> List[str]:
 
 
 def make_executor(
-    spec: Optional[str],
     jobs: int = 1,
     nodes: Optional[str] = None,
     cache_dir: Optional[str] = None,
     cache_enabled: Optional[bool] = None,
-) -> Optional[CellExecutor]:
-    """Build the executor a CLI invocation asked for.
+) -> CellExecutor:
+    """The executor for a ``--jobs``/``--nodes`` choice.
 
-    Returns None when neither ``--executor`` nor ``--nodes`` was given:
-    the caller keeps the historical auto behavior (serial for one job,
-    local pool otherwise), chosen per fan-out.
+    ``nodes`` fans out to worker nodes, ``jobs > 1`` runs a local
+    process pool, anything else runs in process.  This is the only
+    place an executor is chosen.
     """
-    if spec is None and nodes is None:
-        return None
-    if spec is None:
-        spec = "multihost"  # --nodes alone implies the multihost backend
-    if nodes is not None and spec != "multihost":
-        # Silently ignoring --nodes would run a "distributed" sweep on
-        # one machine without a word of warning.
-        raise ExecutorError(
-            f"--nodes only applies to the multihost executor, "
-            f"not --executor {spec}"
-        )
-    if spec == "serial":
-        return _serial()
-    if spec == "local":
-        from repro.eval.executors.local import LocalPoolExecutor
-
-        return LocalPoolExecutor(
-            jobs=jobs, cache_dir=cache_dir, cache_enabled=cache_enabled
-        )
-    if spec == "multihost":
-        if nodes is None:
+    if nodes is not None:
+        if jobs > 1:
+            # Both flags name the parallelism; silently preferring one
+            # would run a sweep somewhere the user did not ask for.
             raise ExecutorError(
-                "--executor multihost needs --nodes HOST,HOST,... "
-                "(use --nodes localhost,localhost for local worker nodes)"
+                f"--nodes and --jobs {jobs} are exclusive: worker nodes "
+                "set the parallelism (use HOST*N for N workers on a host)"
             )
         from repro.eval.executors.multihost import MultiHostExecutor
 
         return MultiHostExecutor(
             parse_nodes(nodes), cache_dir=cache_dir, cache_enabled=cache_enabled
         )
-    raise ExecutorError(
-        f"unknown executor {spec!r} (choices: {', '.join(EXECUTOR_NAMES)})"
-    )
+    if jobs > 1:
+        from repro.eval.executors.local import LocalPoolExecutor
 
-
-def _serial() -> CellExecutor:
+        return LocalPoolExecutor(
+            jobs=jobs, cache_dir=cache_dir, cache_enabled=cache_enabled
+        )
     from repro.eval.executors.local import SerialExecutor
 
     return SerialExecutor()

@@ -5,18 +5,18 @@ yields it immediately — the natural backend for ``--jobs 1`` and the
 reference implementation of the streaming contract (an interrupt loses
 at most the cell currently executing).
 
-:class:`LocalPoolExecutor` is the historical ``fan_out`` behavior
-behind the executor interface: a :class:`ProcessPoolExecutor` whose
-workers configure their process-global artifact cache and interpreter
-backend once at spawn, then pull cells one at a time.  Unlike the old
-``pool.map`` path it streams futures as they complete, so the caller
-can persist finished cells while slower ones are still running.
+:class:`LocalPoolExecutor` runs cells on a :class:`ProcessPoolExecutor`
+whose workers configure their process-global artifact cache and
+interpreter backend once at spawn, then pull cells one at a time.  It
+streams results as they complete, so the caller can persist finished
+cells while slower ones are still running.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+import queue
+from concurrent.futures import ProcessPoolExecutor
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.eval.executors.base import Cell, CellExecutor, ExecutorError
 
@@ -47,8 +47,9 @@ class LocalPoolExecutor(CellExecutor):
 
     The pool is created lazily at the first submit (so its workers
     inherit the cache/backend configuration current at run time, not at
-    construction) and persists across rounds — warm workers serve every
-    ``run_cells`` call of an invocation.
+    construction) with at most one worker per cell of that round, and
+    persists across rounds — warm workers serve every ``run_cells`` call
+    of an invocation.
     """
 
     name = "local"
@@ -67,9 +68,10 @@ class LocalPoolExecutor(CellExecutor):
         self._cache_dir = cache_dir
         self._cache_enabled = cache_enabled
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._pending: Dict[object, int] = {}
+        self._pending = 0
+        self._done: "queue.SimpleQueue" = queue.SimpleQueue()
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
+    def _ensure_pool(self, cells: int) -> ProcessPoolExecutor:
         if self._pool is None:
             from repro.eval.parallel import _cache_settings, _worker_init
             from repro.instrument import relevance_enabled
@@ -79,7 +81,7 @@ class LocalPoolExecutor(CellExecutor):
                 self._cache_dir, self._cache_enabled
             )
             self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs,
+                max_workers=max(1, min(self.jobs, cells)),
                 initializer=_worker_init,
                 initargs=(
                     cache_dir, cache_enabled, get_default_backend(),
@@ -93,21 +95,28 @@ class LocalPoolExecutor(CellExecutor):
             raise ExecutorError("previous round not drained")
         from repro.eval.parallel import run_cell
 
-        pool = self._ensure_pool()
-        self._pending = {
-            pool.submit(run_cell, cell): index
-            for index, cell in enumerate(cells)
-        }
+        pool = self._ensure_pool(len(cells))
+        # Completed futures report through a queue of their own round:
+        # the pool's manager thread fires the callback, so the caller
+        # never holds a future's lock while it blocks for results (an
+        # interrupt landing inside ``concurrent.futures.wait`` can leave
+        # those locks held and the manager thread stuck behind them).
+        done = self._done = queue.SimpleQueue()
+        self._pending = len(cells)
+        for index, cell in enumerate(cells):
+            future = pool.submit(run_cell, cell)
+            future.add_done_callback(
+                lambda future, index=index: done.put((index, future))
+            )
 
     def stream(self) -> Iterator[Tuple[int, object]]:
         while self._pending:
-            done, _running = wait(self._pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                index = self._pending.pop(future)
-                yield index, future.result()
+            index, future = self._done.get()
+            self._pending -= 1
+            yield index, future.result()
 
     def close(self) -> None:
-        self._pending = {}
+        self._pending = 0
         if self._pool is not None:
             # Abandon queued cells instead of waiting for them; running
             # workers finish their current cell and exit.

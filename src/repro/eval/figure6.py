@@ -16,7 +16,7 @@ and, for the comparison discussed around Figure 6:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.baselines.dualex import run_dualex
 from repro.baselines.native import run_native
@@ -24,7 +24,7 @@ from repro.baselines.taint import run_taint
 from repro.core.config import LdxConfig, SourceSpec
 from repro.core.engine import run_dual
 from repro.eval.reporting import arithmetic_mean, format_table, geometric_mean
-from repro.workloads import PERF_SUBSET, get_workload
+from repro.workloads import get_workload
 
 
 class Figure6Row:
@@ -100,13 +100,6 @@ def measure_workload(name: str, with_heavy_baselines: bool = True) -> Figure6Row
         dualex = run_dualex(workload.module, workload.build_world(1), config)
         row.dualex = dualex.time / native.time
     return row
-
-
-def run_figure6(
-    names: Optional[List[str]] = None, with_heavy_baselines: bool = True
-) -> List[Figure6Row]:
-    names = names or list(PERF_SUBSET)
-    return [measure_workload(name, with_heavy_baselines) for name in names]
 
 
 def render_figure6(rows: List[Figure6Row]) -> str:

@@ -62,17 +62,6 @@ def run_strategy(
     return per_workload
 
 
-def run_mutation_study(
-    names: Optional[List[str]] = None,
-) -> Dict[str, Dict[str, bool]]:
-    """strategy -> {workload -> detected}."""
-    names = names or list(STUDY_WORKLOADS)
-    return {
-        strategy_name: run_strategy(strategy_name, names)
-        for strategy_name in strategies_under_study()
-    }
-
-
 def render_mutation_study(outcomes: Dict[str, Dict[str, bool]]) -> str:
     strategies = sorted(outcomes)
     workload_names = sorted(next(iter(outcomes.values()))) if outcomes else []

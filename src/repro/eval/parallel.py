@@ -1,14 +1,15 @@
-"""Parallel evaluation: fan eval/chaos cells out over an executor.
+"""The cell pipeline: every eval, chaos and serve-chaos run is
+plan -> :func:`run_cells` -> assemble.
 
 Every experiment in the harness decomposes into independent cells:
 
 * Table 1 / Figure 6 / Table 2 / Table 3 — one cell per workload;
 * Table 4 — one cell per (workload, chunk of seeded runs): the
   schedule seeds are a pure function of the run index, so any chunk
-  reproduces its slice of the serial sweep exactly;
+  reproduces its slice of the full sweep exactly;
 * the mutation study — one cell per strategy (the stateful ``random``
   mutator's RNG stream flows across workloads *within* a strategy, so
-  a strategy is the smallest split that preserves serial results);
+  a strategy is the smallest split that preserves its results);
 * the chaos sweep — one cell per (workload, chunk of fault seeds).
 
 Cells are plain tuples of primitives.  Workers rebuild everything they
@@ -24,10 +25,9 @@ process, over a process pool on this machine, or across worker nodes
 on other machines.  Executors stream ``(index, result)`` pairs back in
 completion order; this module persists each completed cell the moment
 it arrives and reassembles **in plan order**, so per-table rows come
-back in exactly the order the serial path produces them and the
-rendered report is byte-identical for any job count, node count or
-interleaving — and an interrupt or a dead node never discards
-finished work.
+back in the same order whatever ran them and the rendered report is
+byte-identical for any job count, node count or interleaving — and an
+interrupt or a dead node never discards finished work.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ _CELL_RUNNERS = {
 
 
 def run_cell(cell: Cell):
-    """Execute one cell (the pool's task function; also the serial path)."""
+    """Execute one cell: the task function of every executor."""
     kind, payload = cell
     return _CELL_RUNNERS[kind](*payload)
 
@@ -176,136 +176,88 @@ def _cache_settings(
     return cache_dir, cache_enabled
 
 
-def _default_executor(
-    cells: Sequence[Cell],
-    jobs: int,
-    cache_dir: Optional[str],
-    cache_enabled: Optional[bool],
-):
-    """The historical auto choice: in-process for one job or one cell,
-    a local process pool otherwise."""
-    from repro.eval.executors import LocalPoolExecutor, SerialExecutor
-
-    if jobs <= 1 or len(cells) <= 1:
-        return SerialExecutor()
-    return LocalPoolExecutor(
-        jobs=min(jobs, len(cells)),
-        cache_dir=cache_dir,
-        cache_enabled=cache_enabled,
-    )
-
-
-def fan_out(
-    cells: Sequence[Cell],
-    jobs: int,
-    cache_dir: Optional[str] = None,
-    cache_enabled: Optional[bool] = None,
-    executor=None,
-) -> List[object]:
-    """Run *cells*, results in cell order regardless of completion order.
-
-    With *executor* (a :class:`repro.eval.executors.CellExecutor`) the
-    cells run wherever it says — serial, local pool, or multihost
-    worker nodes; without one the historical jobs-based choice applies.
-    A provided executor is left open for further rounds (the caller
-    owns its lifecycle) except on interrupt, where it is closed so
-    queued cells are abandoned rather than awaited.
-    """
-    owned = executor is None
-    if owned:
-        executor = _default_executor(cells, jobs, cache_dir, cache_enabled)
-    results: List[object] = [None] * len(cells)
-    try:
-        executor.submit(cells)
-        for index, result in executor.stream():
-            results[index] = result
-    except KeyboardInterrupt:
-        # Ctrl-C: abandon queued cells instead of waiting for them.
-        # Cells that already finished were persisted as they streamed
-        # back (the results store saves per cell), so a rerun restarts
-        # at the first incomplete cell.
-        executor.close()
-        raise
-    finally:
-        if owned:
-            executor.close()
-    return results
-
-
 def run_cells(
     cells: Sequence[Cell],
-    jobs: int,
+    jobs: int = 1,
     cache_dir: Optional[str] = None,
     cache_enabled: Optional[bool] = None,
     store=None,
     label: str = "eval",
     executor=None,
 ) -> Tuple[List[object], Dict[str, int]]:
-    """Run *cells* incrementally against a results store.
+    """Run *cells*; results in cell order regardless of completion order.
 
-    Cells whose content-address key is already present in *store* are
-    served from it; only absent (or superseded-fingerprint) cells
-    execute, and every freshly executed cell **persists the moment its
-    result streams back** — an interrupt or node loss mid-run keeps
-    every finished cell, and the re-run reuses them.  Returns the
-    in-order results plus {planned, executed, reused} counts, and
-    prints the counts to stderr — CI greps that line to prove a warm
-    re-run executed zero cells.  With no store this is plain
-    :func:`fan_out`.
+    The cells run on *executor* (a
+    :class:`repro.eval.executors.CellExecutor`), which the caller owns
+    and which stays open for further rounds.  Without one, this call
+    builds ``make_executor(jobs)`` and closes it when done.  On
+    interrupt the executor is closed either way, so queued cells are
+    abandoned rather than awaited.
+
+    With *store* the run is incremental: cells whose content-address
+    key is already present are served from it, only absent (or
+    superseded-fingerprint) cells execute, and every freshly executed
+    cell **persists the moment its result streams back** — an
+    interrupt or node loss mid-run keeps every finished cell, and the
+    re-run reuses them.  The {planned, executed, reused} counts are
+    returned and, with a store, printed to stderr — CI greps that line
+    to prove a warm re-run executed zero cells.
     """
-    if store is None or not store.enabled:
-        return (
-            fan_out(cells, jobs, cache_dir, cache_enabled, executor),
-            {"planned": len(cells), "executed": len(cells), "reused": 0},
-        )
-    from repro.results import spec_for_cell
+    if store is not None and not store.enabled:
+        store = None
+    results: List[object] = [None] * len(cells)
+    if store is not None:
+        from repro.results import spec_for_cell
 
-    specs = [spec_for_cell(cell) for cell in cells]
-    found = store.get_cells([spec.key for spec in specs])
-    results: List[object] = [found.get(spec.key) for spec in specs]
-    miss_indices = [i for i, result in enumerate(results) if result is None]
-    reused = len(cells) - len(miss_indices)
-    executed = 0
-    if miss_indices:
-        miss_cells = [cells[i] for i in miss_indices]
+        specs = [spec_for_cell(cell) for cell in cells]
+        found = store.get_cells([spec.key for spec in specs])
+        results = [found.get(spec.key) for spec in specs]
+    misses = [i for i, result in enumerate(results) if result is None]
+    stats = {
+        "planned": len(cells),
+        "executed": len(misses),
+        "reused": len(cells) - len(misses),
+    }
+    if misses:
         owned = executor is None
         if owned:
-            executor = _default_executor(
-                miss_cells, jobs, cache_dir, cache_enabled
+            from repro.eval.executors import make_executor
+
+            executor = make_executor(
+                jobs, cache_dir=cache_dir, cache_enabled=cache_enabled
             )
+        executed = 0
         try:
-            executor.submit(miss_cells)
+            executor.submit([cells[i] for i in misses])
             for position, result in executor.stream():
-                index = miss_indices[position]
+                index = misses[position]
                 results[index] = result
-                store.put_cell(specs[index], result)
+                if store is not None:
+                    store.put_cell(specs[index], result)
                 executed += 1
         except KeyboardInterrupt:
-            # Every cell that finished is already in the store; account
-            # for the partial run before re-raising so the user knows
-            # what a re-run will reuse.
-            print(
-                f"{label}: results store: interrupted — {executed} executed, "
-                f"{reused} reused of {len(cells)} cells persisted "
-                f"({store.path})",
-                file=sys.stderr,
-            )
+            if store is not None:
+                # Every cell that finished is already in the store;
+                # account for the partial run before re-raising so the
+                # user knows what a re-run will reuse.
+                print(
+                    f"{label}: results store: interrupted — {executed} "
+                    f"executed, {stats['reused']} reused of {len(cells)} "
+                    f"cells persisted ({store.path})",
+                    file=sys.stderr,
+                )
             executor.close()
             raise
         finally:
             if owned:
                 executor.close()
-    stats = {
-        "planned": len(cells),
-        "executed": len(miss_indices),
-        "reused": reused,
-    }
-    print(
-        f"{label}: results store: {stats['executed']} executed, "
-        f"{stats['reused']} reused of {stats['planned']} cells "
-        f"({store.path})",
-        file=sys.stderr,
-    )
+    if store is not None:
+        print(
+            f"{label}: results store: {stats['executed']} executed, "
+            f"{stats['reused']} reused of {stats['planned']} cells "
+            f"({store.path})",
+            file=sys.stderr,
+        )
     return results, stats
 
 
@@ -318,9 +270,8 @@ def plan_eval_cells(
 ) -> List[Cell]:
     """Decompose the full evaluation into independent cells.
 
-    Cell order is the reassembly order; it mirrors the serial
-    ``run_all`` exactly (table order, then workload order, then run
-    order).
+    Cell order is the reassembly order: table order, then workload
+    order, then run order.
     """
     from repro.eval.mutation_study import STUDY_WORKLOADS, strategies_under_study
     from repro.workloads import (
@@ -345,7 +296,7 @@ def plan_eval_cells(
 
 
 def plan_table5_cells(names: Optional[List[str]] = None) -> List[Cell]:
-    """One Table 5 cell per workload, in ``run_table5`` order."""
+    """One Table 5 cell per workload, in registry order."""
     from repro.workloads import ALL_WORKLOADS
 
     names = names or [w.name for w in ALL_WORKLOADS]
@@ -361,7 +312,7 @@ def plan_chaos_cells(
 ) -> List[Cell]:
     """Decompose a chaos sweep into (workload, seed-chunk) cells.
 
-    Cell order is the merge order; it reproduces the serial sweep.
+    Cell order is the merge order: workload order, then seed order.
     """
     cells: List[Cell] = []
     for name in names:
@@ -378,36 +329,22 @@ def plan_chaos_cells(
 def assemble_report(
     cells: Sequence[Cell], results: Sequence[object], table4_runs: int
 ) -> str:
-    """Reassemble per-cell results into the serial report, byte for byte."""
+    """Reassemble per-cell results into the report, byte for byte the
+    same for any chunking of Table 4."""
     from repro.eval.figure6 import render_figure6
     from repro.eval.mutation_study import render_mutation_study
     from repro.eval.table1 import render_table1
     from repro.eval.table2 import render_table2
     from repro.eval.table3 import render_table3
-    from repro.eval.table4 import Table4Row, render_table4
+    from repro.eval.table4 import render_table4, rows_from_chunks
 
     by_kind: Dict[str, List[Tuple[tuple, object]]] = {}
     for (kind, payload), result in zip(cells, results):
         by_kind.setdefault(kind, []).append((payload, result))
 
-    table4_rows: List[Table4Row] = []
-    order: List[str] = []
-    per_name: Dict[str, List[Tuple[int, int]]] = {}
-    for (name, _start, _stop), chunk in by_kind.get("table4", []):
-        if name not in per_name:
-            per_name[name] = []
-            order.append(name)
-        per_name[name].extend(chunk)  # cells arrive in run order
-    for name in order:
-        measurements = per_name[name]
-        table4_rows.append(
-            Table4Row(
-                name,
-                [diff for diff, _sink in measurements],
-                [sink for _diff, sink in measurements],
-            )
-        )
-
+    table4_rows = rows_from_chunks(
+        (payload[0], chunk) for payload, chunk in by_kind.get("table4", [])
+    )
     outcomes = {
         payload[0]: result for payload, result in by_kind.get("mutation", [])
     }
@@ -421,89 +358,3 @@ def assemble_report(
         render_mutation_study(outcomes),
     ]
     return "\n\n\n".join(sections)
-
-
-def run_all_parallel(
-    table4_runs: int = 100,
-    jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    cache_enabled: Optional[bool] = None,
-    table4_chunk: int = TABLE4_CHUNK,
-    store=None,
-    executor=None,
-) -> str:
-    """The full evaluation, fanned out; report identical to ``run_all``.
-
-    With *store* (a :class:`repro.results.ResultsStore`) the run is
-    incremental: cells already stored are reused, fresh cells persist.
-    (:func:`repro.eval.runner.run_all` additionally records the run so
-    ``repro report`` can re-render it with zero execution.)  With
-    *executor* the cells run on that backend instead of the jobs-based
-    default.
-    """
-    jobs = default_jobs() if jobs is None else jobs
-    cells = plan_eval_cells(table4_runs, table4_chunk)
-    results, _stats = run_cells(
-        cells, jobs, cache_dir, cache_enabled, store=store, label="eval",
-        executor=executor,
-    )
-    return assemble_report(cells, results, table4_runs)
-
-
-def run_chaos_parallel(
-    names: Optional[List[str]] = None,
-    seeds: int = 50,
-    rate: float = 0.1,
-    watchdog_deadline: float = 25_000.0,
-    jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    cache_enabled: Optional[bool] = None,
-    seed_chunk: int = CHAOS_CHUNK,
-    store=None,
-    executor=None,
-):
-    """The chaos sweep, fanned out; rows identical to a serial sweep.
-
-    With *store* each finished (workload, seed-chunk) cell persists
-    into the columnar results store and already-stored cells are loaded
-    instead of re-run — an interrupted sweep resumes at the first
-    incomplete cell, and the sweep is reportable via ``repro report
-    --chaos``.  Loaded or re-run, cells merge in the same planned
-    order, so the resumed report is byte-identical to an uninterrupted
-    one.
-    """
-    from repro.eval.robustness import ChaosRow
-    from repro.workloads import ALL_WORKLOADS
-
-    jobs = default_jobs() if jobs is None else jobs
-    names = names or [workload.name for workload in ALL_WORKLOADS]
-    cells = plan_chaos_cells(names, seeds, rate, watchdog_deadline, seed_chunk)
-    results, stats = run_cells(
-        cells, jobs, cache_dir, cache_enabled, store=store, label="chaos",
-        executor=executor,
-    )
-    if store is not None and store.enabled:
-        store.record_run(
-            "chaos",
-            {
-                "names": list(names),
-                "seeds": seeds,
-                "rate": rate,
-                "watchdog_deadline": watchdog_deadline,
-                "seed_chunk": seed_chunk,
-            },
-            **stats,
-        )
-
-    rows: List[ChaosRow] = []
-    by_name: Dict[str, ChaosRow] = {}
-    for (kind, payload), chunk_row in zip(cells, results):
-        name = payload[0]
-        if name not in by_name:
-            by_name[name] = chunk_row
-            rows.append(chunk_row)
-        else:
-            # Chunks were planned (and mapped back) in seed order, so
-            # merging in cell order reproduces the serial violations.
-            by_name[name].merge(chunk_row)
-    return rows

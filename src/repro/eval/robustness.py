@@ -28,10 +28,11 @@ workload:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import LdxConfig, SourceSpec
 from repro.core.engine import run_dual
+from repro.eval.parallel import CHAOS_CHUNK, plan_chaos_cells, run_cells
 from repro.eval.reporting import format_table
 from repro.vos.faults import FaultConfig
 from repro.workloads import ALL_WORKLOADS, get_workload
@@ -70,7 +71,8 @@ class ChaosRow:
         """Fold another chunk of the same workload's sweep into this row.
 
         Chunks must be merged in ascending seed order for the violation
-        list (and thus the rendered report) to match a serial sweep.
+        list (and thus the rendered report) to match a single-chunk
+        sweep.
         """
         if other.name != self.name:
             # A real error, not an assert: under ``python -O`` an assert
@@ -205,31 +207,55 @@ def run_chaos(
     jobs: int = 1,
     store=None,
     executor=None,
+    seed_chunk: int = CHAOS_CHUNK,
 ) -> List[ChaosRow]:
     """Sweep fault seeds across workloads; one row per workload.
 
-    With ``jobs > 1`` the (workload, seed-chunk) cells fan out over a
-    process pool — or over whatever backend *executor* (a
-    :class:`repro.eval.executors.CellExecutor`) names, including
-    multihost worker nodes; the merged rows are identical to a serial
-    sweep.  With *store* (a :class:`repro.results.ResultsStore`)
-    completed cells persist in the columnar results store and a re-run
-    executes only missing cells — both paths go through the cell
-    decomposition, whose merge is byte-identical to this serial loop
-    for any job count.
+    The sweep is planned as (workload, seed-chunk) cells that run on
+    *executor* or, without one, on ``make_executor(jobs)``; the merged
+    rows are identical for any executor, job count or chunk size.
+    With *store* (a :class:`repro.results.ResultsStore`) each finished
+    cell persists into the columnar results store and already-stored
+    cells are loaded instead of re-run, so an interrupted sweep resumes
+    at the first incomplete cell and ``repro report --chaos`` can
+    re-render it.
     """
     names = names or [workload.name for workload in ALL_WORKLOADS]
-    if jobs > 1 or store is not None or executor is not None:
-        from repro.eval.parallel import run_chaos_parallel
-
-        return run_chaos_parallel(
-            names, seeds=seeds, rate=rate,
-            watchdog_deadline=watchdog_deadline, jobs=jobs,
-            store=store, executor=executor,
+    cells = plan_chaos_cells(names, seeds, rate, watchdog_deadline, seed_chunk)
+    results, stats = run_cells(
+        cells, jobs, store=store, label="chaos", executor=executor
+    )
+    if store is not None and store.enabled:
+        store.record_run(
+            "chaos",
+            {
+                "names": list(names),
+                "seeds": seeds,
+                "rate": rate,
+                "watchdog_deadline": watchdog_deadline,
+                "seed_chunk": seed_chunk,
+            },
+            **stats,
         )
-    return [
-        chaos_workload(name, range(seeds), rate, watchdog_deadline) for name in names
-    ]
+    return merge_chunks(cells, results)
+
+
+def merge_chunks(
+    cells: Sequence[Tuple[str, tuple]], results: Sequence[ChaosRow]
+) -> List[ChaosRow]:
+    """One row per workload from its seed-chunk rows, in plan order.
+
+    Chunks were planned in seed order, so merging in cell order
+    reproduces the violation list of a single-chunk sweep.
+    """
+    rows: Dict[str, ChaosRow] = {}
+    for (_kind, payload), chunk_row in zip(cells, results):
+        name = payload[0]
+        if name in rows:
+            rows[name].merge(chunk_row)
+        else:
+            rows[name] = chunk_row
+    return list(rows.values())
 
 
 def chaos_ok(rows: List[ChaosRow]) -> bool:

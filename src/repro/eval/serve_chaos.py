@@ -152,13 +152,6 @@ def baseline_for(
     return json.dumps(api.verdict_payload(result), sort_keys=True)
 
 
-def _baseline_verdict(payload: dict) -> str:
-    return baseline_for(
-        payload["workload"], payload["seed"], payload["deadline"],
-        payload["fault_seed"], payload["fault_rate"],
-    )
-
-
 def faultfree_baseline(name: str, seed: int) -> str:
     """The fault-free batch verdict; the ``serve_faultfree`` cell."""
     from repro.workloads import get_workload
@@ -171,47 +164,37 @@ def faultfree_baseline(name: str, seed: int) -> str:
     return json.dumps(api.verdict_payload(result), sort_keys=True)
 
 
-def _prefill_baselines(
-    plan: List[Tuple[str, object]],
-    baseline_cache: Dict[str, str],
-    faultfree_cache: Dict[str, str],
-    jobs: int,
-    executor,
-) -> None:
-    """Fan the storm's baseline verification out as executor cells.
+def _baselines(
+    plan: List[Tuple[str, object]], jobs: int, executor
+) -> Dict[str, str]:
+    """The storm's batch and fault-free baselines, run as cells.
 
     Verifying invariants 2 and 3 needs one batch ``run_dual`` per
     distinct well-formed request shape plus one fault-free run per
     (workload, seed) — independent pure computations, so they
     decompose into ``serve_baseline`` / ``serve_faultfree`` cells and
-    run wherever ``--executor``/``--jobs`` says.  The request plan is
-    deterministic, so the cell list is too.
+    run wherever ``--jobs``/``--nodes`` says.  The request plan is
+    deterministic, so the cell list is too.  Returns the verdicts keyed
+    by request shape (its JSON) and by ``workload:seed``.
     """
-    from repro.eval.parallel import fan_out
+    from repro.eval.parallel import run_cells
 
-    targets: List[Tuple[Dict[str, str], str]] = []  # (cache, key) per cell
-    cells: List[Tuple[str, tuple]] = []
+    cells: Dict[str, Tuple[str, tuple]] = {}
     for kind, payload in plan:
         if kind != "ok":
             continue
-        cache_key = json.dumps(payload, sort_keys=True)
-        if cache_key not in baseline_cache:
-            baseline_cache[cache_key] = ""  # claimed; filled below
-            targets.append((baseline_cache, cache_key))
-            cells.append(
-                ("serve_baseline",
-                 (payload["workload"], payload["seed"], payload["deadline"],
-                  payload["fault_seed"], payload["fault_rate"]))
-            )
-        ff_key = f"{payload['workload']}:{payload['seed']}"
-        if ff_key not in faultfree_cache:
-            faultfree_cache[ff_key] = ""
-            targets.append((faultfree_cache, ff_key))
-            cells.append(
-                ("serve_faultfree", (payload["workload"], payload["seed"]))
-            )
-    for (cache, key), result in zip(targets, fan_out(cells, jobs, executor=executor)):
-        cache[key] = result
+        cells.setdefault(
+            json.dumps(payload, sort_keys=True),
+            ("serve_baseline",
+             (payload["workload"], payload["seed"], payload["deadline"],
+              payload["fault_seed"], payload["fault_rate"])),
+        )
+        cells.setdefault(
+            f"{payload['workload']}:{payload['seed']}",
+            ("serve_faultfree", (payload["workload"], payload["seed"])),
+        )
+    results, _stats = run_cells(list(cells.values()), jobs, executor=executor)
+    return dict(zip(cells, results))
 
 
 def _post(url: str, payload, timeout: float = 120.0) -> Optional[dict]:
@@ -255,9 +238,9 @@ def run_storm(
 ) -> StormOutcome:
     """Throw one storm; see the module docstring for the invariants.
 
-    ``jobs``/``executor`` parallelize the post-storm baseline
-    verification (one batch ``run_dual`` per distinct request shape)
-    over the eval cell executor — including multihost worker nodes.
+    The post-storm baseline verification (one batch ``run_dual`` per
+    distinct request shape) runs as cells on *executor* or, without
+    one, on ``make_executor(jobs)`` — including multihost worker nodes.
     """
     plan = plan_storm(
         requests, fault_rate, fault_seed, tiny_deadline_every, poison_every
@@ -318,10 +301,7 @@ def run_storm(
         outcome.shed = service.queue.snapshot()["shed"]
 
     # Baselines, computed once per distinct well-formed request shape.
-    baseline_cache: Dict[str, str] = {}
-    faultfree_cache: Dict[str, str] = {}
-    if executor is not None or jobs > 1:
-        _prefill_baselines(plan, baseline_cache, faultfree_cache, jobs, executor)
+    baselines = _baselines(plan, jobs, executor)
 
     for index, record in enumerate(results):
         if record is None:
@@ -368,23 +348,16 @@ def run_storm(
                     f"request {index} degraded to {confidence!r} with an "
                     "empty degradation report"
                 )
-        cache_key = json.dumps(payload, sort_keys=True)
-        if cache_key not in baseline_cache:
-            baseline_cache[cache_key] = _baseline_verdict(payload)
         served = json.dumps(response["verdict"], sort_keys=True)
-        if served != baseline_cache[cache_key]:
+        if served != baselines[json.dumps(payload, sort_keys=True)]:
             outcome.violations.append(
                 f"request {index} verdict differs from the batch baseline"
             )
         else:
             outcome.verdict_matches += 1
         if confidence == "full":
-            ff_key = f"{payload['workload']}:{payload['seed']}"
-            if ff_key not in faultfree_cache:
-                faultfree_cache[ff_key] = faultfree_baseline(
-                    payload["workload"], payload["seed"]
-                )
-            if served != faultfree_cache[ff_key]:
+            faultfree = baselines[f"{payload['workload']}:{payload['seed']}"]
+            if served != faultfree:
                 outcome.violations.append(
                     f"request {index}: masked faults changed the verdict"
                 )

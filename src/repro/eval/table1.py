@@ -10,11 +10,11 @@ reads.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.core.engine import run_dual
 from repro.eval.reporting import format_table
-from repro.workloads import ALL_WORKLOADS, get_workload
+from repro.workloads import get_workload
 
 
 class Table1Row:
@@ -97,12 +97,6 @@ def measure_workload(name: str) -> Table1Row:
     row.max_stack_depth = master_stats.max_stack_depth
     row.mutated_inputs = result.report.mutated_source_reads
     return row
-
-
-def run_table1(names: Optional[List[str]] = None) -> List[Table1Row]:
-    """Measure every workload (or the given subset)."""
-    names = names or [w.name for w in ALL_WORKLOADS]
-    return [measure_workload(name) for name in names]
 
 
 def render_table1(rows: List[Table1Row]) -> str:

@@ -10,12 +10,12 @@ all dynamic syscalls.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.baselines.tightlip import run_tightlip
 from repro.core.engine import run_dual
 from repro.eval.reporting import format_table
-from repro.workloads import TABLE2_SUBSET, get_workload
+from repro.workloads import get_workload
 
 LEAK = "O"
 CLEAN = "X"
@@ -81,11 +81,6 @@ def measure_workload(name: str) -> Table2Row:
         )
         row.tightlip_input2 = LEAK if tight2.leak_reported else CLEAN
     return row
-
-
-def run_table2(names: Optional[List[str]] = None) -> List[Table2Row]:
-    names = names or list(TABLE2_SUBSET)
-    return [measure_workload(name) for name in names]
 
 
 def render_table2(rows: List[Table2Row]) -> str:

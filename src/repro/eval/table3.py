@@ -9,12 +9,12 @@ LIBDFT's, and LDX has no false positives.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.baselines.taint import run_taint
 from repro.core.engine import run_dual
 from repro.eval.reporting import format_table
-from repro.workloads import TABLE3_SUBSET, get_workload
+from repro.workloads import get_workload
 
 
 class Table3Row:
@@ -51,11 +51,6 @@ def measure_workload(name: str) -> Table3Row:
     libdft = run_taint(workload.module, workload.build_world(1), config, "libdft")
     row.libdft = libdft.tainted_sinks
     return row
-
-
-def run_table3(names: Optional[List[str]] = None) -> List[Table3Row]:
-    names = names or list(TABLE3_SUBSET)
-    return [measure_workload(name) for name in names]
 
 
 def render_table3(rows: List[Table3Row]) -> str:

@@ -11,11 +11,11 @@ programs (apache, pbzip2, pigz), slightly varying for axel and x264.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.core.engine import run_dual
 from repro.eval.reporting import format_table
-from repro.workloads import get_workload, workloads_by_category
+from repro.workloads import get_workload
 
 
 class Table4Row:
@@ -48,12 +48,12 @@ HEADERS = [
 ]
 
 
-def measure_run(name: str, run: int) -> "Tuple[int, int]":
+def measure_run(name: str, run: int) -> Tuple[int, int]:
     """One seeded dual execution: (syscall diffs, tainted sinks).
 
     The (master, slave) schedule seeds are a pure function of the run
     index, so any subset of runs can execute anywhere (including in a
-    pool worker) and still reproduce the serial sweep exactly.
+    pool worker) and still reproduce the full sweep exactly.
     """
     workload = get_workload(name)
     result = run_dual(
@@ -66,21 +66,21 @@ def measure_run(name: str, run: int) -> "Tuple[int, int]":
     return result.report.syscall_diffs, result.report.tainted_sinks
 
 
-def measure_workload(name: str, runs: int = 100) -> Table4Row:
-    diffs: List[int] = []
-    sinks: List[int] = []
-    for run in range(runs):
-        diff, sink = measure_run(name, run)
-        diffs.append(diff)
-        sinks.append(sink)
-    return Table4Row(name, diffs, sinks)
-
-
-def run_table4(
-    names: Optional[List[str]] = None, runs: int = 100
+def rows_from_chunks(
+    chunks: Iterable[Tuple[str, List[Tuple[int, int]]]]
 ) -> List[Table4Row]:
-    names = names or [w.name for w in workloads_by_category("concurrency")]
-    return [measure_workload(name, runs) for name in names]
+    """One row per workload from its ``(name, measured runs)`` chunks.
+
+    Chunks arrive in plan order (workload, then run), so the rows and
+    their run lists come out the same for any chunk size.
+    """
+    measured: Dict[str, List[Tuple[int, int]]] = {}
+    for name, runs in chunks:
+        measured.setdefault(name, []).extend(runs)
+    return [
+        Table4Row(name, [diff for diff, _ in runs], [sink for _, sink in runs])
+        for name, runs in measured.items()
+    ]
 
 
 def render_table4(rows: List[Table4Row], runs: int) -> str:

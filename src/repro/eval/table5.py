@@ -23,12 +23,12 @@ flag sinks — those are its false positives.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.analysis import analyze_source
 from repro.core.engine import run_dual
 from repro.eval.reporting import format_table
-from repro.workloads import ALL_WORKLOADS, get_workload
+from repro.workloads import get_workload
 
 LEAK = "O"
 CLEAN = "X"
@@ -159,11 +159,6 @@ def measure_workload(name: str) -> Table5Row:
         )
         row.violations.extend(noleak_result.report.soundness_violations)
     return row
-
-
-def run_table5(names: Optional[List[str]] = None) -> List[Table5Row]:
-    names = names or [workload.name for workload in ALL_WORKLOADS]
-    return [measure_workload(name) for name in names]
 
 
 def soundness_ok(rows: List[Table5Row]) -> bool:

@@ -79,7 +79,7 @@ def eval_report_from_store(store: ResultsStore) -> str:
 def chaos_report_from_store(store: ResultsStore) -> str:
     """The latest recorded chaos sweep, re-rendered from its cells."""
     from repro.eval.parallel import plan_chaos_cells
-    from repro.eval.robustness import ChaosRow, render_chaos
+    from repro.eval.robustness import merge_chunks, render_chaos
 
     run = store.latest_run("chaos")
     if run is None:
@@ -95,16 +95,7 @@ def chaos_report_from_store(store: ResultsStore) -> str:
         watchdog_deadline=float(params["watchdog_deadline"]),
         seed_chunk=int(params.get("seed_chunk", 5)),
     )
-    results = _load_cells(store, cells, "chaos")
-    rows: List[ChaosRow] = []
-    by_name = {}
-    for (kind, payload), chunk_row in zip(cells, results):
-        name = payload[0]
-        if name not in by_name:
-            by_name[name] = chunk_row
-            rows.append(chunk_row)
-        else:
-            by_name[name].merge(chunk_row)
+    rows = merge_chunks(cells, _load_cells(store, cells, "chaos"))
     return render_chaos(rows, int(params["seeds"]), float(params["rate"]))
 
 

@@ -19,7 +19,7 @@ from repro.eval.executors import (
     LocalPoolExecutor,
     MultiHostExecutor,
 )
-from repro.eval.parallel import plan_chaos_cells, run_chaos_parallel
+from repro.eval.parallel import plan_chaos_cells
 from repro.eval.robustness import ChaosRow, render_chaos, run_chaos
 
 NAMES = ["gzip", "bzip2"]
@@ -152,22 +152,22 @@ def test_all_nodes_dead_raises_executor_error():
 
 
 def test_multihost_store_path_matches_pool(tmp_path, serial_text):
-    """run_chaos_parallel with a results store persists each cell as it
+    """run_chaos with a results store persists each cell as it
     streams back from the nodes; a warm re-run executes nothing."""
     from repro.results import ResultsStore
 
     store = ResultsStore(str(tmp_path / "cells.sqlite"))
     try:
         with MultiHostExecutor(["localhost", "localhost"]) as executor:
-            rows = run_chaos_parallel(
+            rows = run_chaos(
                 names=NAMES, seeds=SEEDS, rate=RATE,
                 watchdog_deadline=DEADLINE, store=store, executor=executor,
             )
         assert _render(rows) == serial_text
         # Warm re-run: every cell served from the store, serial backend.
-        warm = run_chaos_parallel(
+        warm = run_chaos(
             names=NAMES, seeds=SEEDS, rate=RATE,
-            watchdog_deadline=DEADLINE, jobs=1, store=store,
+            watchdog_deadline=DEADLINE, store=store,
         )
         assert _render(warm) == serial_text
         assert store.latest_run("chaos")["executed"] == 0

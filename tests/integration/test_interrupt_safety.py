@@ -6,7 +6,11 @@ persists each one as it arrives), so the re-run reuses all of them and
 the final report is byte-identical to an uninterrupted run.
 
 The run under test is a real ``repro eval`` subprocess — the signal
-lands on the CLI exactly as a user's Ctrl-C would.
+lands on the CLI exactly as a user's Ctrl-C would.  Each run gets a
+session of its own: a run that outlives its timeout is sent SIGABRT
+(``PYTHONFAULTHANDLER`` then dumps every thread's stack into the
+failure message) and its whole process group, pool workers included,
+is killed, so a hang is diagnosable and leaves no orphans behind.
 """
 
 import os
@@ -41,7 +45,45 @@ def _env():
     env = dict(os.environ)
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = SRC if not existing else SRC + os.pathsep + existing
+    env["PYTHONFAULTHANDLER"] = "1"
     return env
+
+
+def _start(store_path, cwd):
+    return subprocess.Popen(
+        _eval_command(store_path), cwd=cwd, env=_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+
+
+def _kill_group(proc):
+    """Kill the run and every process it started (its session's group)."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait()
+
+
+def _communicate(proc, timeout):
+    """``proc.communicate``; on a timeout, fail with every thread's stack."""
+    try:
+        return proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        proc.send_signal(signal.SIGABRT)  # faulthandler dumps all threads
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            pass
+        # Pool workers hold the output pipes open: kill them before
+        # reading the dump to its end.
+        _kill_group(proc)
+        _stdout, stderr = proc.communicate()
+        pytest.fail(
+            f"eval did not exit within {timeout}s; thread dump:\n"
+            f"{stderr[-8000:]}"
+        )
 
 
 def _cell_count(store_path):
@@ -59,35 +101,37 @@ def _cell_count(store_path):
 
 
 def _run(store_path, cwd):
-    return subprocess.run(
-        _eval_command(store_path), cwd=cwd, env=_env(),
-        capture_output=True, text=True, timeout=300,
-    )
+    """One uninterrupted run: (returncode, stdout, stderr)."""
+    proc = _start(store_path, cwd)
+    try:
+        stdout, stderr = _communicate(proc, timeout=300)
+    finally:
+        _kill_group(proc)
+    return proc.returncode, stdout, stderr
 
 
 def test_sigint_mid_eval_persists_cells_and_resumes_byte_identical(tmp_path):
     interrupted_store = str(tmp_path / "interrupted.sqlite")
 
     # -- interrupt a run once a few cells are persisted -----------------------
-    proc = subprocess.Popen(
-        _eval_command(interrupted_store), cwd=str(tmp_path), env=_env(),
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    deadline = time.monotonic() + START_TIMEOUT
-    while time.monotonic() < deadline:
-        if _cell_count(interrupted_store) >= MIN_CELLS_BEFORE_SIGINT:
-            break
-        if proc.poll() is not None:
-            pytest.fail(
-                "eval finished before the interrupt could land; raise "
-                f"TABLE4_RUNS (stderr: {proc.stderr.read()[-500:]})"
-            )
-        time.sleep(0.05)
-    else:
-        proc.kill()
-        pytest.fail("no cells persisted within the startup timeout")
-    proc.send_signal(signal.SIGINT)
-    stdout, stderr = proc.communicate(timeout=60)
+    proc = _start(interrupted_store, str(tmp_path))
+    try:
+        deadline = time.monotonic() + START_TIMEOUT
+        while time.monotonic() < deadline:
+            if _cell_count(interrupted_store) >= MIN_CELLS_BEFORE_SIGINT:
+                break
+            if proc.poll() is not None:
+                pytest.fail(
+                    "eval finished before the interrupt could land; raise "
+                    f"TABLE4_RUNS (stderr: {proc.stderr.read()[-500:]})"
+                )
+            time.sleep(0.05)
+        else:
+            pytest.fail("no cells persisted within the startup timeout")
+        proc.send_signal(signal.SIGINT)
+        stdout, stderr = _communicate(proc, timeout=60)
+    finally:
+        _kill_group(proc)
 
     assert proc.returncode == 130, stderr[-500:]
     assert "interrupted" in stderr
@@ -97,13 +141,13 @@ def test_sigint_mid_eval_persists_cells_and_resumes_byte_identical(tmp_path):
     assert persisted >= MIN_CELLS_BEFORE_SIGINT
 
     # -- the re-run reuses every persisted cell -------------------------------
-    resumed = _run(interrupted_store, str(tmp_path))
-    assert resumed.returncode == 0, resumed.stderr[-500:]
+    code, resumed_stdout, resumed_stderr = _run(interrupted_store, str(tmp_path))
+    assert code == 0, resumed_stderr[-500:]
     counts = [
-        line for line in resumed.stderr.splitlines()
+        line for line in resumed_stderr.splitlines()
         if "eval: results store:" in line
     ]
-    assert counts, resumed.stderr[-500:]
+    assert counts, resumed_stderr[-500:]
     # "eval: results store: N executed, M reused of P cells (path)"
     fields = counts[0].split()
     executed, reused, planned = (
@@ -114,6 +158,8 @@ def test_sigint_mid_eval_persists_cells_and_resumes_byte_identical(tmp_path):
     assert executed < planned  # ... so not everything re-ran
 
     # -- byte-identical to an uninterrupted fresh run -------------------------
-    fresh = _run(str(tmp_path / "fresh.sqlite"), str(tmp_path))
-    assert fresh.returncode == 0, fresh.stderr[-500:]
-    assert resumed.stdout == fresh.stdout
+    code, fresh_stdout, fresh_stderr = _run(
+        str(tmp_path / "fresh.sqlite"), str(tmp_path)
+    )
+    assert code == 0, fresh_stderr[-500:]
+    assert resumed_stdout == fresh_stdout

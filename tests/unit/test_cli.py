@@ -143,6 +143,28 @@ def test_eval_rejects_bad_job_counts():
         main(["eval", "--jobs", "zero"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "--table4-runs", "0"], ["chaos", "--seeds", "0"]],
+    ids=["table4-runs", "seeds"],
+)
+def test_empty_sweeps_are_rejected(argv, capsys):
+    # A sweep over nothing would render a vacuous "ok" (or crash while
+    # rendering Table 4's min/max of no runs).
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["eval", "chaos", "serve-chaos"])
+def test_nodes_with_jobs_is_a_diagnosed_error(verb, capsys):
+    code = main([verb, "--jobs", "2", "--nodes", "localhost,localhost",
+                 "--no-store"])
+    assert code == 2
+    assert "ExecutorError" in capsys.readouterr().err
+
+
 # -- chaos and service verbs ---------------------------------------------------
 
 

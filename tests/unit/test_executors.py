@@ -2,8 +2,9 @@
 
 MultiHost behavior that needs real worker nodes lives in
 tests/integration/test_distributed.py; here we cover the contract
-surface: node-spec parsing, executor selection, serial streaming, the
-wire blob codec and the pure helpers of the multihost scheduler.
+surface: node-spec parsing, the --jobs/--nodes executor choice, serial
+streaming, the wire blob codec and the pure helpers of the multihost
+scheduler.
 """
 
 import time
@@ -12,7 +13,6 @@ import pytest
 
 from repro.eval import parallel
 from repro.eval.executors import (
-    EXECUTOR_NAMES,
     ExecutorError,
     LocalPoolExecutor,
     MultiHostExecutor,
@@ -64,51 +64,34 @@ def test_parse_nodes_rejects_empty_host():
 
 
 def test_make_executor_defaults_to_auto():
-    assert make_executor(None) is None
+    # No --jobs/--nodes: the derived choice runs cells in process.
+    assert isinstance(make_executor(), SerialExecutor)
 
 
 def test_make_executor_serial():
-    executor = make_executor("serial")
+    executor = make_executor(1)
     assert isinstance(executor, SerialExecutor)
     executor.close()
 
 
 def test_make_executor_local_pool():
-    executor = make_executor("local", jobs=2)
+    executor = make_executor(2)
     assert isinstance(executor, LocalPoolExecutor)
+    assert executor.jobs == 2
     executor.close()  # pool is lazy: close before it ever spawned
 
 
 def test_make_executor_nodes_alone_implies_multihost():
-    executor = make_executor(None, nodes="localhost,localhost")
+    executor = make_executor(1, nodes="localhost,localhost")
     assert isinstance(executor, MultiHostExecutor)
     executor.close()
 
 
-def test_make_executor_multihost_without_nodes_is_an_error():
-    with pytest.raises(ExecutorError, match="--nodes"):
-        make_executor("multihost")
-
-
-def test_make_executor_rejects_unknown_backend():
-    with pytest.raises(ExecutorError, match="unknown executor"):
-        make_executor("quantum")
-
-
-@pytest.mark.parametrize("spec", ["serial", "local"])
-def test_make_executor_rejects_nodes_with_single_host_backend(spec):
-    # Silently ignoring --nodes would run a "distributed" sweep on one
-    # machine without a word of warning.
-    with pytest.raises(ExecutorError, match="only applies to the multihost"):
-        make_executor(spec, nodes="localhost,localhost")
-
-
-def test_executor_names_cover_every_backend():
-    assert EXECUTOR_NAMES == ("serial", "local", "multihost")
-    for name in ("serial", "local"):
-        executor = make_executor(name)
-        assert executor is not None
-        executor.close()
+def test_make_executor_rejects_nodes_with_jobs():
+    # Both flags name the parallelism; silently preferring one would
+    # run a "distributed" sweep on one machine or the other way round.
+    with pytest.raises(ExecutorError, match="exclusive"):
+        make_executor(2, nodes="localhost,localhost")
 
 
 # -- SerialExecutor ------------------------------------------------------------
@@ -148,10 +131,36 @@ def test_serial_executor_close_mid_round_is_safe(square_cells):
     executor.close()  # idempotent
 
 
-def test_fan_out_uses_caller_executor(square_cells):
+def test_local_pool_has_at_most_one_worker_per_cell(square_cells):
+    executor = LocalPoolExecutor(jobs=4)
+    try:
+        executor.submit(square_cells[:2])
+        assert executor._pool._max_workers == 2
+    finally:
+        executor.close()
+
+
+def test_run_cells_uses_caller_executor_and_leaves_it_open(square_cells):
     with SerialExecutor() as executor:
-        results = parallel.fan_out(square_cells, jobs=1, executor=executor)
+        results, stats = parallel.run_cells(square_cells, executor=executor)
+        assert executor.run(square_cells[:2]) == [0, 1]
     assert results == [n * n for n in range(7)]
+    assert stats == {"planned": 7, "executed": 7, "reused": 0}
+
+
+def test_run_cells_without_executor_builds_one_from_jobs(square_cells, monkeypatch):
+    built = []
+
+    def fake_make_executor(jobs, **kwargs):
+        built.append(jobs)
+        return SerialExecutor()
+
+    from repro.eval import executors
+
+    monkeypatch.setattr(executors, "make_executor", fake_make_executor)
+    results, _stats = parallel.run_cells(square_cells, jobs=3)
+    assert results == [n * n for n in range(7)]
+    assert built == [3]
 
 
 # -- wire codec ----------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from repro.eval.executors import make_executor
 from repro.eval.parallel import assemble_report, plan_eval_cells, run_cells
-from repro.eval.robustness import run_chaos
+from repro.eval.robustness import render_chaos, run_chaos
 from repro.eval.runner import run_all
 
 TABLE4_RUNS = 3
@@ -71,3 +71,20 @@ def test_chaos_rows_are_chunk_invariant():
         assert split_row.violations == whole_row.violations
         assert split_row.runs == whole_row.runs
         assert split_row.faults_injected == whole_row.faults_injected
+
+
+def test_chaos_parallel_rows_match_serial():
+    names = ["gzip", "apache"]
+    serial_rows = run_chaos(names=names, seeds=4)
+    parallel_rows = run_chaos(names=names, seeds=4, jobs=2, seed_chunk=2)
+    assert render_chaos(parallel_rows, 4, 0.1) == render_chaos(serial_rows, 4, 0.1)
+    for serial_row, parallel_row in zip(serial_rows, parallel_rows):
+        assert serial_row.violations == parallel_row.violations
+        assert serial_row.runs == parallel_row.runs
+        assert serial_row.faults_injected == parallel_row.faults_injected
+
+
+def test_chaos_jobs_flag_routes_through_parallel():
+    # gzip has no no-leak variant: 2 variants x 3 seeds = 6 runs.
+    rows = run_chaos(names=["gzip"], seeds=3, jobs=2)
+    assert rows[0].runs == 2 * 3

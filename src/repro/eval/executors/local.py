@@ -49,7 +49,8 @@ class LocalPoolExecutor(CellExecutor):
     inherit the cache/backend configuration current at run time, not at
     construction) with at most one worker per cell of that round, and
     persists across rounds — warm workers serve every ``run_cells`` call
-    of an invocation.
+    of an invocation.  A later round with more cells than the pool has
+    workers restarts it wider, up to ``jobs``.
     """
 
     name = "local"
@@ -68,10 +69,16 @@ class LocalPoolExecutor(CellExecutor):
         self._cache_dir = cache_dir
         self._cache_enabled = cache_enabled
         self._pool: Optional[ProcessPoolExecutor] = None
+        self._width = 0
         self._pending = 0
         self._done: "queue.SimpleQueue" = queue.SimpleQueue()
 
     def _ensure_pool(self, cells: int) -> ProcessPoolExecutor:
+        width = max(1, min(self.jobs, cells))
+        if self._pool is not None and self._width < width:
+            # The previous round is drained, so its workers are idle.
+            self._pool.shutdown(wait=True)
+            self._pool = None
         if self._pool is None:
             from repro.eval.parallel import _cache_settings, _worker_init
             from repro.instrument import relevance_enabled
@@ -80,8 +87,9 @@ class LocalPoolExecutor(CellExecutor):
             cache_dir, cache_enabled = _cache_settings(
                 self._cache_dir, self._cache_enabled
             )
+            self._width = width
             self._pool = ProcessPoolExecutor(
-                max_workers=max(1, min(self.jobs, cells)),
+                max_workers=width,
                 initializer=_worker_init,
                 initargs=(
                     cache_dir, cache_enabled, get_default_backend(),

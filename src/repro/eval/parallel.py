@@ -178,9 +178,6 @@ def _cache_settings(
 
 def run_cells(
     cells: Sequence[Cell],
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    cache_enabled: Optional[bool] = None,
     store=None,
     label: str = "eval",
     executor=None,
@@ -189,10 +186,10 @@ def run_cells(
 
     The cells run on *executor* (a
     :class:`repro.eval.executors.CellExecutor`), which the caller owns
-    and which stays open for further rounds.  Without one, this call
-    builds ``make_executor(jobs)`` and closes it when done.  On
-    interrupt the executor is closed either way, so queued cells are
-    abandoned rather than awaited.
+    and which stays open for further rounds.  Without one they run in
+    process on ``make_executor()``.  On interrupt the executor is
+    closed either way, so queued cells are abandoned rather than
+    awaited.
 
     With *store* the run is incremental: cells whose content-address
     key is already present are served from it, only absent (or
@@ -223,9 +220,7 @@ def run_cells(
         if owned:
             from repro.eval.executors import make_executor
 
-            executor = make_executor(
-                jobs, cache_dir=cache_dir, cache_enabled=cache_enabled
-            )
+            executor = make_executor()
         executed = 0
         try:
             executor.submit([cells[i] for i in misses])

@@ -204,7 +204,6 @@ def run_chaos(
     seeds: int = DEFAULT_SEEDS,
     rate: float = DEFAULT_RATE,
     watchdog_deadline: float = 25_000.0,
-    jobs: int = 1,
     store=None,
     executor=None,
     seed_chunk: int = CHAOS_CHUNK,
@@ -212,8 +211,8 @@ def run_chaos(
     """Sweep fault seeds across workloads; one row per workload.
 
     The sweep is planned as (workload, seed-chunk) cells that run on
-    *executor* or, without one, on ``make_executor(jobs)``; the merged
-    rows are identical for any executor, job count or chunk size.
+    *executor* or, without one, in process; the merged rows are
+    identical for any executor, job count or chunk size.
     With *store* (a :class:`repro.results.ResultsStore`) each finished
     cell persists into the columnar results store and already-stored
     cells are loaded instead of re-run, so an interrupted sweep resumes
@@ -223,7 +222,7 @@ def run_chaos(
     names = names or [workload.name for workload in ALL_WORKLOADS]
     cells = plan_chaos_cells(names, seeds, rate, watchdog_deadline, seed_chunk)
     results, stats = run_cells(
-        cells, jobs, store=store, label="chaos", executor=executor
+        cells, store=store, label="chaos", executor=executor
     )
     if store is not None and store.enabled:
         store.record_run(

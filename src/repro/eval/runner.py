@@ -23,7 +23,6 @@ class EvalResult:
 
 def run_all(
     table4_runs: int = 100,
-    jobs: int = 1,
     cache_dir: Optional[str] = None,
     use_cache: Optional[bool] = None,
     check_static: bool = False,
@@ -35,10 +34,12 @@ def run_all(
 
     The evaluation is planned as cells (``repro.eval.parallel``) that
     run on *executor* (a :class:`repro.eval.executors.CellExecutor`,
-    left open for the caller) or, without one, on
-    ``make_executor(jobs)`` with workers using *cache_dir* and
-    *use_cache*.  The report is byte-identical for any executor, job
-    count or node count.
+    left open for the caller) or, without one, in process.  The report
+    is byte-identical for any executor, job count or node count.
+    *cache_dir* and *use_cache* stay in the signature for existing
+    callers but change nothing: an executor's workers take their cache
+    settings from ``make_executor``, and an in-process run uses the
+    process's configured cache (``repro.cache.configure``).
 
     With ``store_path`` the run is **incremental** against the columnar
     results store (``repro.results``): every completed cell persists
@@ -64,8 +65,7 @@ def run_all(
 
     cells = plan_eval_cells(table4_runs, TABLE4_CHUNK)
     results, stats = run_cells(
-        cells, jobs, cache_dir, use_cache, store=store, label="eval",
-        executor=executor,
+        cells, store=store, label="eval", executor=executor
     )
     result = EvalResult(assemble_report(cells, results, table4_runs))
 

@@ -165,23 +165,28 @@ def faultfree_baseline(name: str, seed: int) -> str:
 
 
 def _baselines(
-    plan: List[Tuple[str, object]], jobs: int, executor
+    results: List[Optional[Tuple[str, object, Optional[dict]]]], executor
 ) -> Dict[str, str]:
-    """The storm's batch and fault-free baselines, run as cells.
+    """The batch and fault-free baselines the storm's answers are
+    checked against, run as cells.
 
-    Verifying invariants 2 and 3 needs one batch ``run_dual`` per
-    distinct well-formed request shape plus one fault-free run per
-    (workload, seed) — independent pure computations, so they
-    decompose into ``serve_baseline`` / ``serve_faultfree`` cells and
-    run wherever ``--jobs``/``--nodes`` says.  The request plan is
-    deterministic, so the cell list is too.  Returns the verdicts keyed
-    by request shape (its JSON) and by ``workload:seed``.
+    Invariant 2 needs one batch ``run_dual`` per ``ok`` response's
+    request shape, and invariant 3 one fault-free run per (workload,
+    seed) of a full-confidence ``ok`` response — independent pure
+    computations, so they decompose into ``serve_baseline`` /
+    ``serve_faultfree`` cells and run wherever ``--jobs``/``--nodes``
+    says.  Shed, failed and poisoned requests are not checked against
+    a baseline, so none is computed for them.  Returns the verdicts
+    keyed by request shape (its JSON) and by ``workload:seed``.
     """
     from repro.eval.parallel import run_cells
 
     cells: Dict[str, Tuple[str, tuple]] = {}
-    for kind, payload in plan:
-        if kind != "ok":
+    for record in results:
+        if record is None or record[0] != "ok" or record[2] is None:
+            continue
+        _kind, payload, response = record
+        if response.get("status") != api.STATUS_OK:
             continue
         cells.setdefault(
             json.dumps(payload, sort_keys=True),
@@ -189,12 +194,13 @@ def _baselines(
              (payload["workload"], payload["seed"], payload["deadline"],
               payload["fault_seed"], payload["fault_rate"])),
         )
-        cells.setdefault(
-            f"{payload['workload']}:{payload['seed']}",
-            ("serve_faultfree", (payload["workload"], payload["seed"])),
-        )
-    results, _stats = run_cells(list(cells.values()), jobs, executor=executor)
-    return dict(zip(cells, results))
+        if response.get("degradation", {}).get("confidence") == "full":
+            cells.setdefault(
+                f"{payload['workload']}:{payload['seed']}",
+                ("serve_faultfree", (payload["workload"], payload["seed"])),
+            )
+    baselines, _stats = run_cells(list(cells.values()), executor=executor)
+    return dict(zip(cells, baselines))
 
 
 def _post(url: str, payload, timeout: float = 120.0) -> Optional[dict]:
@@ -233,14 +239,13 @@ def run_storm(
     tiny_deadline_every: int = 7,
     poison_every: int = 11,
     url: Optional[str] = None,
-    jobs: int = 1,
     executor=None,
 ) -> StormOutcome:
     """Throw one storm; see the module docstring for the invariants.
 
     The post-storm baseline verification (one batch ``run_dual`` per
-    distinct request shape) runs as cells on *executor* or, without
-    one, on ``make_executor(jobs)`` — including multihost worker nodes.
+    checked request shape) runs as cells on *executor* — including
+    multihost worker nodes — or, without one, in process.
     """
     plan = plan_storm(
         requests, fault_rate, fault_seed, tiny_deadline_every, poison_every
@@ -300,8 +305,8 @@ def run_storm(
             outcome.violations.append("service did not drain after the storm")
         outcome.shed = service.queue.snapshot()["shed"]
 
-    # Baselines, computed once per distinct well-formed request shape.
-    baselines = _baselines(plan, jobs, executor)
+    # Baselines, computed once per request shape that is checked below.
+    baselines = _baselines(results, executor)
 
     for index, record in enumerate(results):
         if record is None:

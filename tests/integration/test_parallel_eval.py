@@ -76,7 +76,10 @@ def test_chaos_rows_are_chunk_invariant():
 def test_chaos_parallel_rows_match_serial():
     names = ["gzip", "apache"]
     serial_rows = run_chaos(names=names, seeds=4)
-    parallel_rows = run_chaos(names=names, seeds=4, jobs=2, seed_chunk=2)
+    with make_executor(2) as executor:
+        parallel_rows = run_chaos(
+            names=names, seeds=4, seed_chunk=2, executor=executor
+        )
     assert render_chaos(parallel_rows, 4, 0.1) == render_chaos(serial_rows, 4, 0.1)
     for serial_row, parallel_row in zip(serial_rows, parallel_rows):
         assert serial_row.violations == parallel_row.violations
@@ -86,5 +89,6 @@ def test_chaos_parallel_rows_match_serial():
 
 def test_chaos_jobs_flag_routes_through_parallel():
     # gzip has no no-leak variant: 2 variants x 3 seeds = 6 runs.
-    rows = run_chaos(names=["gzip"], seeds=3, jobs=2)
+    with make_executor(2) as executor:
+        rows = run_chaos(names=["gzip"], seeds=3, executor=executor)
     assert rows[0].runs == 2 * 3

@@ -140,6 +140,18 @@ def test_local_pool_has_at_most_one_worker_per_cell(square_cells):
         executor.close()
 
 
+def test_local_pool_widens_for_a_larger_round():
+    # Pools spawn no worker until a cell is submitted, so sizing can be
+    # checked without running any.
+    executor = LocalPoolExecutor(jobs=4)
+    try:
+        assert executor._ensure_pool(2)._max_workers == 2
+        assert executor._ensure_pool(7)._max_workers == 4
+        assert executor._ensure_pool(1)._max_workers == 4
+    finally:
+        executor.close()
+
+
 def test_run_cells_uses_caller_executor_and_leaves_it_open(square_cells):
     with SerialExecutor() as executor:
         results, stats = parallel.run_cells(square_cells, executor=executor)
@@ -148,19 +160,19 @@ def test_run_cells_uses_caller_executor_and_leaves_it_open(square_cells):
     assert stats == {"planned": 7, "executed": 7, "reused": 0}
 
 
-def test_run_cells_without_executor_builds_one_from_jobs(square_cells, monkeypatch):
+def test_run_cells_without_executor_runs_in_process(square_cells, monkeypatch):
     built = []
 
-    def fake_make_executor(jobs, **kwargs):
-        built.append(jobs)
+    def fake_make_executor(*args, **kwargs):
+        built.append((args, kwargs))
         return SerialExecutor()
 
     from repro.eval import executors
 
     monkeypatch.setattr(executors, "make_executor", fake_make_executor)
-    results, _stats = parallel.run_cells(square_cells, jobs=3)
+    results, _stats = parallel.run_cells(square_cells)
     assert results == [n * n for n in range(7)]
-    assert built == [3]
+    assert built == [((), {})]
 
 
 # -- wire codec ----------------------------------------------------------------
